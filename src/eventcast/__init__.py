@@ -53,7 +53,7 @@ from .semantics import (
     kmeans,
     merge_events,
 )
-from .store import EventStore, JsonlStore, store_append
+from .store import EventStore, JsonlStore
 from .synth import Scenario, default_scenario, synth_corpus, synth_traffic
 
 __version__ = "0.1.0"
@@ -98,7 +98,6 @@ __all__ = [
     "merge_events",
     "run_pipeline",
     "spike_frequency",
-    "store_append",
     "synth_corpus",
     "synth_traffic",
     "zscore_series",

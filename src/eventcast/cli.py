@@ -6,38 +6,33 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .baseline import detect_spikes, fit_baseline, read_traffic_csv, spike_frequency, zscore_series
-from .correlate import lead_time_cdf, match_spikes_to_events
-from .ingest import FileCorpusConnector, FilterConfig, assemble_content_record, list_posts, EmptyRecordError
-from .inference.backends import HttpLlmBackend, LlmBackendConfig, StubLlmBackend
-from .inference.enrich import FixtureRetriever, enrich_event
-from .inference.extract import build_event, extract_events
-from .model import ContentRecord, SpikeRecord
-from .pipeline import PipelineConfig, materialize_scenario, run_pipeline
-from .reports import lead_time_table, render_table, spike_frequency_table
-from .semantics import (
-    HashingStubEmbedder,
-    cluster_multilevel,
-    embed_event,
-    find_duplicates,
-    merge_events,
+from .baseline import spike_frequency
+from .correlate import SpikeEventMatch, coverage, lead_time_cdf
+from .ingest import FilterConfig
+from .model import ContentRecord, InferenceRun, SpikeRecord
+from .pipeline import (
+    PipelineConfig,
+    SeriesTooShort,
+    _label_spikes,
+    _load_labels,
+    build_embedder,
+    build_llm,
+    build_retriever,
+    materialize_scenario,
+    run_pipeline,
+    stage_cluster,
+    stage_correlate,
+    stage_dedup,
+    stage_detect_spikes,
+    stage_infer,
+    stage_ingest,
 )
+from .reports import coverage_table, lead_time_table, render_table, spike_frequency_table
 from .store import EventStore, JsonlStore
 from .synth import BUILTIN_SCENARIOS, Scenario
-
-logger = logging.getLogger(__name__)
-
-
-def _read_jsonl(path, record_type):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_type.from_dict(json.loads(line)))
-    return out
 
 
 def cmd_synth(args) -> int:
@@ -58,130 +53,107 @@ def cmd_run(args) -> int:
 
 
 def cmd_detect_spikes(args) -> int:
-    traffic = read_traffic_csv(args.traffic)
-    store = JsonlStore(args.out, SpikeRecord, id_prefix="spk")
-    total = 0
-    for network_id in sorted(traffic):
-        series = traffic[network_id]
-        boundary = args.window_weeks * 7 * 86400 // series.step_seconds
-        if boundary >= len(series):
-            print(f"{network_id}: series too short to score beyond the fitting window",
-                  file=sys.stderr)
-            return 2
-        model = fit_baseline(series.slice(0, boundary), window_weeks=args.window_weeks,
-                             bin_minutes=args.bin_minutes)
-        z = zscore_series(model, series.slice(boundary), std_floor_fraction=args.std_floor)
-        spikes = detect_spikes(z, z_threshold=args.z,
-                               min_duration_minutes=args.min_duration,
-                               merge_gap_minutes=args.merge_gap)
-        for spike in spikes:
-            store.append(spike)
-        total += len(spikes)
-        print(f"{network_id}: {len(spikes)} spikes")
-    print(f"{total} spikes appended to {args.out}")
+    config = PipelineConfig(
+        traffic_csv=args.traffic,
+        z_threshold=args.z,
+        min_duration_minutes=args.min_duration,
+        merge_gap_minutes=args.merge_gap,
+        window_weeks=args.window_weeks,
+        bin_minutes=args.bin_minutes,
+        std_floor_fraction=args.std_floor,
+    )
+    try:
+        spikes, z_by_network, _ = stage_detect_spikes(
+            config, JsonlStore(args.out, SpikeRecord, id_prefix="spk"))
+    except SeriesTooShort as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    per_network = Counter(spike.network_id for spike in spikes)
+    for network_id in z_by_network:
+        print(f"{network_id}: {per_network[network_id]} spikes")
+    print(f"{len(spikes)} spikes appended to {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    if args.connector != "file":
-        print("only the file connector is wired into the CLI; use the library "
-              "for HTTP sources", file=sys.stderr)
-        return 2
-    connector = FileCorpusConnector(args.corpus)
-    filter_config = FilterConfig(
-        search_terms=tuple(args.search_term),
-        communities=tuple(args.community),
-        min_engagement=args.min_engagement,
-        require_outbound_link=args.require_outbound_link,
+    config = PipelineConfig(
+        corpus_path=args.corpus,
+        filter=FilterConfig(
+            search_terms=tuple(args.search_term),
+            communities=tuple(args.community),
+            min_engagement=args.min_engagement,
+            require_outbound_link=args.require_outbound_link,
+        ),
+        top_k_comments=args.top_k_comments,
     )
-    posts = list_posts(connector, filter_config)
-    store = JsonlStore(args.out, ContentRecord, id_field="record_id")
-    kept = 0
-    for post in posts:
-        try:
-            record = assemble_content_record(post, top_k_comments=args.top_k_comments)
-        except EmptyRecordError as exc:
-            logger.warning("%s", exc)
-            continue
-        store.append(record)
-        kept += 1
-    print(f"{kept} records written to {args.out} "
-          f"({connector.skip_report.malformed} malformed posts skipped)")
+    _, summary = stage_ingest(config, JsonlStore(args.out, ContentRecord, id_field="record_id"))
+    print(f"{summary['records']} records written to {args.out} "
+          f"({summary['posts_skipped_malformed']} malformed posts skipped)")
     return 0
-
-
-def _build_cli_llm(args):
-    if args.backend == "stub":
-        if not args.fixtures:
-            raise SystemExit("--fixtures is required with the stub backend")
-        return StubLlmBackend.from_file(args.fixtures)
-    config = LlmBackendConfig(endpoint_url=args.endpoint_url, model_name=args.model)
-    return HttpLlmBackend(config, auth_token_env=args.auth_token_env)
 
 
 def cmd_infer_events(args) -> int:
-    records = _read_jsonl(args.records, ContentRecord)
-    llm = _build_cli_llm(args)
-    retriever = FixtureRetriever.from_file(args.retriever_fixtures) if args.retriever_fixtures else None
-    store = EventStore(args.out)
-    count = 0
-    for record in records:
-        for draft in extract_events(record, llm):
-            event = build_event(draft, record, default_timezone=args.default_timezone)
-            enriched, _runs = enrich_event(event, llm, retriever, records=[record])
-            store.append(enriched)
-            count += 1
-    print(f"{count} events written to {args.out}")
+    if args.backend == "stub":
+        if not args.fixtures:
+            raise SystemExit("--fixtures is required with the stub backend")
+        llm = {"kind": "stub", "fixtures_path": args.fixtures}
+    else:
+        llm = {"kind": "http", "endpoint_url": args.endpoint_url, "model_name": args.model,
+               "auth_token_env": args.auth_token_env}
+    retriever = ({"kind": "fixture", "fixtures_path": args.retriever_fixtures}
+                 if args.retriever_fixtures else {"kind": "none"})
+    config = PipelineConfig(default_timezone=args.default_timezone, llm=llm, retriever=retriever)
+    out = Path(args.out)
+    _, summary = stage_infer(
+        config, JsonlStore(args.records, ContentRecord).load(),
+        build_llm(config), build_retriever(config),
+        EventStore(out), JsonlStore(out.parent / "runs.jsonl", InferenceRun, id_prefix="run"),
+    )
+    print(f"{summary['events']} events written to {args.out}")
     return 0
 
 
+def _announce_merge(merged, group_ids):
+    print(f"merged {len(group_ids)} events into {merged.event_id}; "
+          "non-fixed fields cleared for re-inference")
+    return merged
+
+
 def cmd_dedup(args) -> int:
+    config = PipelineConfig(dedup_threshold=args.threshold,
+                            embedder={"kind": "hash", "dim": args.dim})
     store = EventStore(args.events)
-    events = store.load_live()
-    embedder = HashingStubEmbedder(dim=args.dim)
-    embeddings = {e.event_id: embed_event(e, embedder) for e in events}
-    groups = find_duplicates(events, embeddings, sim_threshold=args.threshold)
-    by_id = {e.event_id: e for e in events}
-    for group_ids in groups:
-        merged = merge_events([by_id[eid] for eid in group_ids], store=store)
-        print(f"merged {len(group_ids)} events into {merged.event_id}; "
-              "non-fixed fields cleared for re-inference")
-    print(f"{len(groups)} duplicate groups merged in {args.events}")
+    *_, summary = stage_dedup(config, store.load_live(), build_embedder(config), store,
+                              after_merge=_announce_merge)
+    print(f"{summary['duplicate_groups']} duplicate groups merged in {args.events}")
     return 0
 
 
 def cmd_cluster(args) -> int:
+    config = PipelineConfig(levels=tuple(int(k) for k in args.levels.split(",")),
+                            seed=args.seed, embedder={"kind": "hash", "dim": args.dim})
     store = EventStore(args.events)
-    events = store.load_live()
-    if not events:
+    _, summary = stage_cluster(config, store.load_live(), build_embedder(config), store,
+                               args.out_models, {})
+    if not summary["events"]:
         print("no events to cluster", file=sys.stderr)
         return 2
-    embedder = HashingStubEmbedder(dim=args.dim)
-    embeddings = {e.event_id: embed_event(e, embedder) for e in events}
-    levels = tuple(int(k) for k in args.levels.split(","))
-    signatures, models = cluster_multilevel(embeddings, levels=levels, seed=args.seed)
-    models.save(args.out_models)
-    from dataclasses import replace
-    for event in events:
-        store.append(replace(event, semantic_signature=signatures[event.event_id]))
-    print(f"signatures assigned at levels {list(levels)}; models saved to {args.out_models}")
+    print(f"signatures assigned at levels {list(config.levels)}; "
+          f"models saved to {args.out_models}")
     return 0
 
 
 def cmd_correlate(args) -> int:
-    events = EventStore(args.events).load_live()
-    spikes = _read_jsonl(args.spikes, SpikeRecord)
-    matches = match_spikes_to_events(spikes, events, window_hours=args.window_hours)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for match in matches:
-            fh.write(json.dumps(match.to_dict(), sort_keys=True) + "\n")
-    print(f"{len(matches)} matches written to {args.out}")
+    config = PipelineConfig(match_window_hours=args.window_hours)
+    _, summary = stage_correlate(config, JsonlStore(args.spikes, SpikeRecord).load(),
+                                 EventStore(args.events).load_live(), args.out)
+    print(f"{summary['matches']} matches written to {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
     if args.kind == "spike-frequency":
-        spikes = _read_jsonl(args.spikes, SpikeRecord)
+        spikes = JsonlStore(args.spikes, SpikeRecord).load()
         bins = tuple(float(b) for b in args.bins.split(","))
         header, rows = spike_frequency_table(spike_frequency(spikes, bins))
     elif args.kind == "lead-time":
@@ -191,12 +163,8 @@ def cmd_report(args) -> int:
         header, rows = lead_time_table(cdfs)
     elif args.kind == "coverage":
         if args.labels and args.matches and args.spikes:
-            from eventcast.correlate import SpikeEventMatch, coverage
-            from eventcast.pipeline import _label_spikes, _load_labels
-            from eventcast.reports import coverage_table
-
-            spikes = _read_jsonl(args.spikes, SpikeRecord)
-            matches = _read_jsonl(args.matches, SpikeEventMatch)
+            spikes = JsonlStore(args.spikes, SpikeRecord).load()
+            matches = JsonlStore(args.matches, SpikeEventMatch).load()
             labeled, _planted = _label_spikes(spikes, _load_labels(args.labels), matches)
             header, rows = coverage_table(coverage(labeled, matches))
         else:

@@ -1,9 +1,10 @@
 """End-to-end orchestration: ingest -> infer -> dedup -> cluster ->
 detect-spikes -> correlate -> report.
 
-Stages communicate only through the documented file formats, so each can
-also run standalone via the CLI. A stage failure halts downstream stages
-but leaves earlier artifacts in place for inspection.
+Each stage is one module-level ``stage_*`` function, which the CLI
+subcommands also call to run it standalone on the documented file
+formats. A stage failure halts downstream stages but leaves earlier
+artifacts in place for inspection.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import json
 import logging
 import time as time_mod
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import reports as report_tables
 from .baseline import detect_spikes, fit_baseline, read_traffic_csv, spike_frequency, zscore_series
@@ -43,11 +45,11 @@ from .semantics import (
     HashingStubEmbedder,
     HttpEmbedder,
     cluster_multilevel,
-    embed_event,
+    embed_events,
     find_duplicates,
     merge_events,
 )
-from .store import open_stores
+from .store import fresh_stores
 
 logger = logging.getLogger(__name__)
 
@@ -124,39 +126,15 @@ class PipelineConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "default_timezone": self.default_timezone,
-            "traffic_csv": self.traffic_csv,
-            "corpus_path": self.corpus_path,
-            "labels_path": self.labels_path,
-            "connector": self.connector,
-            "connector_http": self.connector_http,
-            "filter": self.filter.to_dict(),
-            "top_k_comments": self.top_k_comments,
-            "max_linked_pages": self.max_linked_pages,
-            "page_fetcher": self.page_fetcher,
-            "llm": self.llm,
-            "embedder": self.embedder,
-            "retriever": self.retriever,
-            "ensemble_size": self.ensemble_size,
-            "max_attempts": self.max_attempts,
-            "max_context_docs": self.max_context_docs,
-            "window_weeks": self.window_weeks,
-            "bin_minutes": self.bin_minutes,
-            "std_floor_fraction": self.std_floor_fraction,
-            "z_threshold": self.z_threshold,
-            "min_duration_minutes": self.min_duration_minutes,
-            "merge_gap_minutes": self.merge_gap_minutes,
-            "dedup_threshold": self.dedup_threshold,
-            "levels": list(self.levels),
-            "match_window_hours": self.match_window_hours,
-            "feature_window_days": self.feature_window_days,
-            "min_category_count": self.min_category_count,
-            "report_bins": list(self.report_bins),
-            "network_regions": self.network_regions,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, FilterConfig):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -226,263 +204,296 @@ def build_page_fetcher(config: PipelineConfig):
     raise ValueError(f"unknown page fetcher kind {kind!r}")
 
 
+class SeriesTooShort(ValueError):
+    """A traffic series ends inside its baseline fitting window."""
+
+
+def _enrich_and_append(config: PipelineConfig, event: EventAbstraction, llm, retriever,
+                       records: List[ContentRecord], events_store, runs_store) -> EventAbstraction:
+    """Fill the event's unset fields over ``records``; store its runs and the result."""
+    enriched, runs = enrich_event(
+        event, llm, retriever, records=records,
+        ensemble_size=config.ensemble_size,
+        max_attempts=config.max_attempts,
+        max_docs=config.max_context_docs,
+    )
+    for run in runs:
+        runs_store.append(run)
+    events_store.append(enriched)
+    return enriched
+
+
+# Each stage function takes the config, its inputs and the stores it writes,
+# and returns its result and the stage's summary for the run report. They
+# call the layer functions through this module's globals, which is where
+# perfbench/tracing.py wraps them: moved elsewhere, the traced layers read 0.
+
+def stage_ingest(config: PipelineConfig, records_store):
+    """Filter the corpus and store one content record per kept post."""
+    connector = build_connector(config)
+    fetcher = build_page_fetcher(config)
+    posts = list_posts(connector, config.filter)
+    records = []
+    discarded = 0
+    for post in posts:
+        pages = ()
+        if config.max_linked_pages > 0 and post.outbound_urls:
+            pages = fetch_linked_pages(post, fetcher, config.max_linked_pages)
+        try:
+            record = assemble_content_record(
+                post, pages=pages, top_k_comments=config.top_k_comments
+            )
+        except EmptyRecordError as exc:
+            logger.warning("discarding record: %s", exc)
+            discarded += 1
+            continue
+        records.append(record)
+        records_store.append(record)
+    return records, {
+        "posts_kept": len(posts),
+        "posts_skipped_malformed": connector.skip_report.malformed,
+        "records": len(records),
+        "records_discarded_empty": discarded,
+    }
+
+
+def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retriever,
+                events_store, runs_store):
+    """Extract, build and enrich each record's events; a repeated event id is skipped."""
+    events: List[EventAbstraction] = []
+    seen_ids = set()
+    drafts_total = 0
+    flagged_past = 0
+    for record in records:
+        drafts = extract_events(record, llm)
+        drafts_total += len(drafts)
+        for draft in drafts:
+            if "past_dated" in draft.flags:
+                flagged_past += 1
+            event = build_event(draft, record, default_timezone=config.default_timezone)
+            if event.event_id in seen_ids:
+                continue
+            seen_ids.add(event.event_id)
+            events.append(_enrich_and_append(config, event, llm, retriever, [record],
+                                             events_store, runs_store))
+    return events, {
+        "records_processed": len(records),
+        "records_failed": 0,
+        "drafts": drafts_total,
+        "drafts_flagged_past_dated": flagged_past,
+        "events": len(events),
+        "events_low_confidence": sum(1 for e in events if e.low_confidence_fields),
+    }
+
+
+def stage_reenrich(config: PipelineConfig, merged: EventAbstraction, llm, retriever,
+                   records: List[ContentRecord], events_store, runs_store) -> EventAbstraction:
+    """Re-infer a merged survivor's cleared fields over its expanded record set."""
+    records_by_id = {r.record_id: r for r in records}
+    sources = [records_by_id[rid] for rid in merged.source_records if rid in records_by_id]
+    return _enrich_and_append(config, merged, llm, retriever, sources, events_store, runs_store)
+
+
+def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder, events_store,
+                after_merge: Callable):
+    """Merge same-date near-duplicate events under their earliest-mentioned survivor.
+
+    Each merge is appended to ``events_store`` with the survivor's non-fixed
+    fields cleared. ``after_merge(merged, group_ids)`` returns the version
+    of the survivor to keep; the pipeline re-infers it there.
+    Returns the surviving events in first-insertion order, the embeddings
+    still valid for them (a merged survivor's summary text changes, so its
+    vector is dropped) and the stage summary.
+    """
+    embeddings = embed_events(events, embedder)
+    unembedded = len(events) - len(embeddings)
+    groups = find_duplicates(events, embeddings, sim_threshold=config.dedup_threshold)
+    live = {e.event_id: e for e in events}
+    for group_ids in groups:
+        merged = merge_events([live[eid] for eid in group_ids], store=events_store)
+        merged = after_merge(merged, group_ids)
+        for eid in group_ids:
+            embeddings.pop(eid, None)
+            if eid != merged.event_id:
+                del live[eid]
+        live[merged.event_id] = merged
+    return list(live.values()), embeddings, {
+        "duplicate_groups": len(groups),
+        "events_absorbed": sum(len(g) - 1 for g in groups),
+        "events_surviving": len(live),
+        "events_unembedded": unembedded,
+    }
+
+
+def stage_cluster(config: PipelineConfig, events: List[EventAbstraction], embedder, events_store,
+                  models_path, embeddings: dict):
+    """Assign multi-level k-means signatures and store each signed event.
+
+    ``embeddings`` holds vectors already computed for some of the events;
+    only the others are embedded. An event that cannot be embedded is left
+    without a signature.
+    """
+    embeddings = dict(embeddings)
+    embeddings.update(embed_events([e for e in events if e.event_id not in embeddings], embedder))
+    if not embeddings:
+        return events, {"events": 0, "levels": list(config.levels)}
+    signatures, models = cluster_multilevel(embeddings, levels=config.levels, seed=config.seed)
+    models.save(models_path)
+    final = []
+    for event in events:
+        if event.event_id in signatures:
+            event = replace(event, semantic_signature=signatures[event.event_id])
+            events_store.append(event)
+        final.append(event)
+    return final, {
+        "events": len(final),
+        "levels": list(config.levels),
+        "effective_k": [m.level_k for m in models.models],
+    }
+
+
+def stage_detect_spikes(config: PipelineConfig, spikes_store):
+    """Fit each network's baseline on its first weeks and store the spikes after them.
+
+    Returns the spikes, the z-series per network and the stage summary.
+    """
+    spikes: List[SpikeRecord] = []
+    z_by_network = {}
+    if config.traffic_csv:
+        traffic = read_traffic_csv(config.traffic_csv)
+        for network_id in sorted(traffic):
+            series = traffic[network_id]
+            boundary = config.window_weeks * 7 * 86400 // series.step_seconds
+            if boundary >= len(series):
+                raise SeriesTooShort(
+                    f"network {network_id}: series too short to score past "
+                    f"{config.window_weeks} fitting weeks"
+                )
+            model = fit_baseline(series.slice(0, boundary),
+                                 window_weeks=config.window_weeks,
+                                 bin_minutes=config.bin_minutes)
+            z = zscore_series(model, series.slice(boundary),
+                              std_floor_fraction=config.std_floor_fraction)
+            z_by_network[network_id] = z
+            found = detect_spikes(z, z_threshold=config.z_threshold,
+                                  min_duration_minutes=config.min_duration_minutes,
+                                  merge_gap_minutes=config.merge_gap_minutes)
+            for spike in found:
+                spikes_store.append(spike)
+            spikes.extend(found)
+    return spikes, z_by_network, {"networks": len(z_by_network), "spikes": len(spikes)}
+
+
+def stage_correlate(config: PipelineConfig, spikes: List[SpikeRecord],
+                    events: List[EventAbstraction], matches_path):
+    """Match spikes to events and write the matches as JSONL."""
+    matches = match_spikes_to_events(spikes, events, window_hours=config.match_window_hours)
+    with open(matches_path, "w", encoding="utf-8") as fh:
+        for match in matches:
+            fh.write(json.dumps(match.to_dict(), sort_keys=True) + "\n")
+    return matches, {
+        "matches": len(matches),
+        "spikes_matched": len({m.spike.key() for m in matches}),
+    }
+
+
+def stage_report(config: PipelineConfig, spikes, events, matches, z_by_network, out_dir) -> dict:
+    """Write the report tables and features.csv; returns the stage summary."""
+    reports_dir = Path(out_dir) / "reports"
+    reports_dir.mkdir(exist_ok=True)
+    histogram = spike_frequency(spikes, config.report_bins) if spikes else {
+        b: 0 for b in config.report_bins
+    }
+    header, rows = report_tables.spike_frequency_table(histogram)
+    (reports_dir / "spike_frequency.csv").write_text(
+        report_tables.render_table(header, rows), encoding="utf-8")
+
+    cdfs = lead_time_cdf(events, bucket_categories=True,
+                         min_category_count=config.min_category_count)
+    header, rows = report_tables.lead_time_table(cdfs)
+    (reports_dir / "lead_time.csv").write_text(
+        report_tables.render_table(header, rows), encoding="utf-8")
+
+    header, rows = export_features(
+        events, z_by_network, config.network_regions,
+        levels=config.levels, window_days=config.feature_window_days,
+    )
+    (Path(out_dir) / "features.csv").write_text(
+        report_tables.render_table(header, rows), encoding="utf-8")
+
+    summary = {
+        "spike_frequency": {repr(k): v for k, v in sorted(histogram.items())},
+        "feature_rows": len(rows),
+    }
+
+    if config.labels_path:
+        labels = _load_labels(config.labels_path)
+        labeled_spikes, planted = _label_spikes(spikes, labels, matches)
+        cov = coverage(labeled_spikes, matches)
+        header, rows = report_tables.coverage_table(cov)
+        (reports_dir / "coverage.csv").write_text(
+            report_tables.render_table(header, rows), encoding="utf-8")
+        summary["coverage"] = cov.to_dict()
+        summary["planted"] = planted
+    return summary
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the machine-readable run report.
 
-    The report counts inputs/outputs per stage and includes coverage when
-    ground-truth labels are configured. All JSONL/CSV artifacts are
-    byte-stable for a fixed config and seed; only the report's timings
-    vary between runs.
+    The run starts from empty stores in ``config.out_dir``, so a rerun into
+    the same directory leaves the same artifacts as a fresh one. The report
+    counts inputs/outputs per stage and includes coverage when ground-truth
+    labels are configured. All JSONL/CSV artifacts are byte-stable for a
+    fixed config and seed; only the report's timings vary between runs.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-    stores = open_stores(out_dir)
+    stores = fresh_stores(out_dir)
 
     report: dict = {"stages": {}, "failures": [], "status": "ok"}
+    stages = report["stages"]
     timings: dict = {}
 
-    def run_stage(name, fn):
+    @contextmanager
+    def run_stage(name):
         start = time_mod.perf_counter()
         try:
-            result = fn()
+            yield
         except Exception as exc:
             report["failures"].append({"stage": name, "error": str(exc)})
             report["status"] = f"failed at {name}"
             raise StageFailure(name, exc) from exc
         finally:
             timings[name] = round(time_mod.perf_counter() - start, 4)
-        return result
-
-    # -- ingest
-    def stage_ingest() -> List[ContentRecord]:
-        connector = build_connector(config)
-        fetcher = build_page_fetcher(config)
-        posts = list_posts(connector, config.filter)
-        records = []
-        discarded = 0
-        for post in posts:
-            pages = ()
-            if config.max_linked_pages > 0 and post.outbound_urls:
-                pages = fetch_linked_pages(post, fetcher, config.max_linked_pages)
-            try:
-                record = assemble_content_record(
-                    post, pages=pages, top_k_comments=config.top_k_comments
-                )
-            except EmptyRecordError as exc:
-                logger.warning("discarding record: %s", exc)
-                discarded += 1
-                continue
-            records.append(record)
-            stores["records"].append(record)
-        report["stages"]["ingest"] = {
-            "posts_kept": len(posts),
-            "posts_skipped_malformed": connector.skip_report.malformed,
-            "records": len(records),
-            "records_discarded_empty": discarded,
-        }
-        return records
-
-    # -- infer
-    def stage_infer(records: List[ContentRecord]):
-        llm = build_llm(config)
-        retriever = build_retriever(config)
-        events: List[EventAbstraction] = []
-        seen_ids = set()
-        drafts_total = 0
-        flagged_past = 0
-        record_failures = 0
-        for record in records:
-            drafts = extract_events(record, llm)
-            drafts_total += len(drafts)
-            for draft in drafts:
-                if "past_dated" in draft.flags:
-                    flagged_past += 1
-                event = build_event(draft, record, default_timezone=config.default_timezone)
-                if event.event_id in seen_ids:
-                    continue
-                seen_ids.add(event.event_id)
-                enriched, runs = enrich_event(
-                    event, llm, retriever, records=[record],
-                    ensemble_size=config.ensemble_size,
-                    max_attempts=config.max_attempts,
-                    max_docs=config.max_context_docs,
-                )
-                for run in runs:
-                    stores["runs"].append(run)
-                stores["events"].append(enriched)
-                events.append(enriched)
-        report["stages"]["infer"] = {
-            "records_processed": len(records),
-            "records_failed": record_failures,
-            "drafts": drafts_total,
-            "drafts_flagged_past_dated": flagged_past,
-            "events": len(events),
-            "events_low_confidence": sum(1 for e in events if e.low_confidence_fields),
-        }
-        return llm, retriever, events
-
-    # -- dedup
-    def stage_dedup(llm, retriever, events, records):
-        embedder = build_embedder(config)
-        records_by_id = {r.record_id: r for r in records}
-        embeddings = {}
-        unembedded = []
-        for event in events:
-            try:
-                embeddings[event.event_id] = embed_event(event, embedder)
-            except Exception as exc:
-                logger.warning("event %s not embedded: %s", event.event_id, exc)
-                unembedded.append(event.event_id)
-        groups = find_duplicates(events, embeddings, sim_threshold=config.dedup_threshold)
-        by_id = {e.event_id: e for e in events}
-        merged_count = 0
-        for group_ids in groups:
-            merged = merge_events([by_id[eid] for eid in group_ids], store=stores["events"])
-            merged_count += len(group_ids) - 1
-            source_records = [records_by_id[rid] for rid in merged.source_records
-                              if rid in records_by_id]
-            re_enriched, runs = enrich_event(
-                merged, llm, retriever, records=source_records,
-                ensemble_size=config.ensemble_size,
-                max_attempts=config.max_attempts,
-                max_docs=config.max_context_docs,
-            )
-            for run in runs:
-                stores["runs"].append(run)
-            stores["events"].append(re_enriched)
-        survivors = stores["events"].load_live() if groups else list(events)
-        report["stages"]["dedup"] = {
-            "duplicate_groups": len(groups),
-            "events_absorbed": merged_count,
-            "events_surviving": len(survivors),
-            "events_unembedded": len(unembedded),
-        }
-        return survivors
-
-    # -- cluster
-    def stage_cluster(events):
-        embedder = build_embedder(config)
-        embeddings = {}
-        for event in events:
-            try:
-                embeddings[event.event_id] = embed_event(event, embedder)
-            except Exception as exc:
-                logger.warning("event %s not embedded; left without a signature: %s",
-                               event.event_id, exc)
-        if not embeddings:
-            report["stages"]["cluster"] = {"events": 0, "levels": list(config.levels)}
-            return events
-        signatures, models = cluster_multilevel(embeddings, levels=config.levels,
-                                                seed=config.seed)
-        models.save(out_dir / "cluster_models.json")
-        from dataclasses import replace as dc_replace
-        final = []
-        for event in events:
-            if event.event_id in signatures:
-                event = dc_replace(event, semantic_signature=signatures[event.event_id])
-                stores["events"].append(event)
-            final.append(event)
-        report["stages"]["cluster"] = {
-            "events": len(final),
-            "levels": list(config.levels),
-            "effective_k": [m.level_k for m in models.models],
-        }
-        return final
-
-    # -- detect spikes
-    def stage_detect():
-        spikes: List[SpikeRecord] = []
-        z_by_network = {}
-        if config.traffic_csv:
-            traffic = read_traffic_csv(config.traffic_csv)
-            for network_id in sorted(traffic):
-                series = traffic[network_id]
-                boundary = config.window_weeks * 7 * 86400 // series.step_seconds
-                if boundary >= len(series):
-                    raise ValueError(
-                        f"network {network_id}: series too short to score past "
-                        f"{config.window_weeks} fitting weeks"
-                    )
-                model = fit_baseline(series.slice(0, boundary),
-                                     window_weeks=config.window_weeks,
-                                     bin_minutes=config.bin_minutes)
-                z = zscore_series(model, series.slice(boundary),
-                                  std_floor_fraction=config.std_floor_fraction)
-                z_by_network[network_id] = z
-                found = detect_spikes(z, z_threshold=config.z_threshold,
-                                      min_duration_minutes=config.min_duration_minutes,
-                                      merge_gap_minutes=config.merge_gap_minutes)
-                for spike in found:
-                    stores["spikes"].append(spike)
-                spikes.extend(found)
-        report["stages"]["detect_spikes"] = {
-            "networks": len(z_by_network),
-            "spikes": len(spikes),
-        }
-        return spikes, z_by_network
-
-    # -- correlate
-    def stage_correlate(spikes, events):
-        matches = match_spikes_to_events(spikes, events,
-                                         window_hours=config.match_window_hours)
-        matches_path = out_dir / "matches.jsonl"
-        with open(matches_path, "w", encoding="utf-8") as fh:
-            for match in matches:
-                fh.write(json.dumps(match.to_dict(), sort_keys=True) + "\n")
-        report["stages"]["correlate"] = {
-            "matches": len(matches),
-            "spikes_matched": len({m.spike.key() for m in matches}),
-        }
-        return matches
-
-    # -- report
-    def stage_report(spikes, events, matches, z_by_network):
-        histogram = spike_frequency(spikes, config.report_bins) if spikes else {
-            b: 0 for b in config.report_bins
-        }
-        header, rows = report_tables.spike_frequency_table(histogram)
-        (reports_dir / "spike_frequency.csv").write_text(
-            report_tables.render_table(header, rows), encoding="utf-8")
-
-        cdfs = lead_time_cdf(events, bucket_categories=True,
-                             min_category_count=config.min_category_count)
-        header, rows = report_tables.lead_time_table(cdfs)
-        (reports_dir / "lead_time.csv").write_text(
-            report_tables.render_table(header, rows), encoding="utf-8")
-
-        header, rows = export_features(
-            events, z_by_network, config.network_regions,
-            levels=config.levels, window_days=config.feature_window_days,
-        )
-        (out_dir / "features.csv").write_text(
-            report_tables.render_table(header, rows), encoding="utf-8")
-
-        summary = {
-            "spike_frequency": {repr(k): v for k, v in sorted(histogram.items())},
-            "feature_rows": len(rows),
-        }
-
-        if config.labels_path:
-            labels = _load_labels(config.labels_path)
-            labeled_spikes, planted = _label_spikes(spikes, labels, matches)
-            cov = coverage(labeled_spikes, matches)
-            header, rows = report_tables.coverage_table(cov)
-            (reports_dir / "coverage.csv").write_text(
-                report_tables.render_table(header, rows), encoding="utf-8")
-            summary["coverage"] = cov.to_dict()
-            summary["planted"] = planted
-        report["stages"]["report"] = summary
 
     try:
-        records = run_stage("ingest", stage_ingest)
-        llm, retriever, events = run_stage("infer", lambda: stage_infer(records))
-        events = run_stage("dedup", lambda: stage_dedup(llm, retriever, events, records))
-        events = run_stage("cluster", lambda: stage_cluster(events))
-        spikes, z_by_network = run_stage("detect_spikes", stage_detect)
-        matches = run_stage("correlate", lambda: stage_correlate(spikes, events))
-        run_stage("report", lambda: stage_report(spikes, events, matches, z_by_network))
+        with run_stage("ingest"):
+            records, stages["ingest"] = stage_ingest(config, stores["records"])
+        with run_stage("infer"):
+            llm, retriever = build_llm(config), build_retriever(config)
+            events, stages["infer"] = stage_infer(config, records, llm, retriever,
+                                                  stores["events"], stores["runs"])
+        with run_stage("dedup"):
+            embedder = build_embedder(config)
+            events, embeddings, stages["dedup"] = stage_dedup(
+                config, events, embedder, stores["events"],
+                after_merge=lambda merged, _group_ids: stage_reenrich(
+                    config, merged, llm, retriever, records, stores["events"], stores["runs"]),
+            )
+        with run_stage("cluster"):
+            events, stages["cluster"] = stage_cluster(
+                config, events, embedder, stores["events"], out_dir / "cluster_models.json",
+                embeddings)
+        with run_stage("detect_spikes"):
+            spikes, z_by_network, stages["detect_spikes"] = stage_detect_spikes(
+                config, stores["spikes"])
+        with run_stage("correlate"):
+            matches, stages["correlate"] = stage_correlate(config, spikes, events,
+                                                           out_dir / "matches.jsonl")
+        with run_stage("report"):
+            stages["report"] = stage_report(config, spikes, events, matches, z_by_network,
+                                            out_dir)
     except StageFailure:
         pass
 

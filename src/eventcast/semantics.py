@@ -136,6 +136,17 @@ def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> EventEmb
     return EventEmbedding(event_id=event.event_id, vector=tuple(vector), norm=norm)
 
 
+def embed_events(events: Sequence[EventAbstraction], embedder) -> Dict[str, EventEmbedding]:
+    """Embed each event by id; an event that cannot be embedded is logged and left out."""
+    embeddings = {}
+    for event in events:
+        try:
+            embeddings[event.event_id] = embed_event(event, embedder)
+        except (EmbeddingError, ValueError) as exc:
+            logger.warning("event %s not embedded: %s", event.event_id, exc)
+    return embeddings
+
+
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if av.shape != bv.shape:

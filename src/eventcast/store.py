@@ -162,22 +162,19 @@ class EventStore:
         ]
 
 
-def open_stores(directory):
-    """Standard store set under one directory."""
-    directory = Path(directory)
-    return {
-        "events": EventStore(directory / "events.jsonl"),
-        "records": JsonlStore(directory / "records.jsonl", ContentRecord, id_field="record_id"),
-        "spikes": JsonlStore(directory / "spikes.jsonl", SpikeRecord, id_prefix="spk"),
-        "runs": JsonlStore(directory / "runs.jsonl", InferenceRun, id_prefix="run"),
-    }
+def fresh_stores(directory):
+    """Standard store set under one directory, starting empty.
 
-
-def store_append(store, record) -> str:
-    """Append one domain record to its store, returning the stored id.
-
-    Accepts EventAbstraction (EventStore), or ContentRecord / SpikeRecord /
-    InferenceRun (JsonlStore). Invariant violations raise InvariantError
-    naming the field; I/O failures raise the retryable StoreIOError.
+    Store files an earlier run left there are removed first, so a rerun
+    into the same directory writes what a run into a new one does.
     """
-    return store.append(record)
+    directory = Path(directory)
+    paths = {kind: directory / f"{kind}.jsonl" for kind in ("events", "records", "spikes", "runs")}
+    for path in paths.values():
+        path.unlink(missing_ok=True)
+    return {
+        "events": EventStore(paths["events"]),
+        "records": JsonlStore(paths["records"], ContentRecord, id_field="record_id"),
+        "spikes": JsonlStore(paths["spikes"], SpikeRecord, id_prefix="spk"),
+        "runs": JsonlStore(paths["runs"], InferenceRun, id_prefix="run"),
+    }

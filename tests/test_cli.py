@@ -7,6 +7,10 @@ import pytest
 from eventcast.cli import main
 from eventcast.store import EventStore
 
+from eventcast.baseline import write_traffic_csv
+
+from .conftest import make_event, week_of_samples
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -15,6 +19,23 @@ def synth_dir(tmp_path_factory):
     assert main(["synth", "--scenario", "default", "--seed", "7",
                  "--out-dir", str(data)]) == 0
     return data
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(synth_dir):
+    assert main(["run", "--config", str(synth_dir / "pipeline.json")]) == 0
+    return synth_dir / "out"
+
+
+def _pipeline_filter_flags(synth_dir):
+    """The ingest flags that select what the scenario's pipeline config selects."""
+    spec = json.loads((synth_dir / "pipeline.json").read_text())["filter"]
+    flags = ["--min-engagement", str(spec["min_engagement"])]
+    for term in spec["search_terms"]:
+        flags += ["--search-term", term]
+    for community in spec["communities"]:
+        flags += ["--community", community]
+    return flags
 
 
 class TestSynthAndRun:
@@ -43,6 +64,14 @@ class TestDetectSpikes:
         assert code == 0
         assert out.exists() and out.read_text().strip()
         assert "spikes appended" in capsys.readouterr().out
+
+    def test_series_too_short_exits_2(self, tmp_path, capsys):
+        traffic = tmp_path / "traffic.csv"
+        write_traffic_csv(traffic, [week_of_samples(weeks=4)])
+        code = main(["detect-spikes", "--traffic", str(traffic),
+                     "--out", str(tmp_path / "spikes.jsonl")])
+        assert code == 2
+        assert "series too short" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -78,12 +107,14 @@ class TestStageChain:
         assert main(["dedup", "--events", str(events), "--threshold", "0.9"]) == 0
         live = EventStore(events).load_live()
         assert len(live) == 18
-
-        # standalone dedup leaves merged events stale: re-infer them
-        assert main(["infer-events", "--records", str(records), "--backend", "stub",
-                     "--fixtures", str(synth_dir / "llm_fixtures.json"),
-                     "--retriever-fixtures", str(synth_dir / "retriever_fixtures.json"),
-                     "--out", str(tmp_path / "unused.jsonl")]) == 0
+        # standalone dedup has no LLM: merged survivors wait for re-inference
+        merged = [e for e in live if e.merge_history]
+        assert len(merged) == 2
+        for event in merged:
+            assert len(event.source_records) == 2
+            assert event.category is None and event.entities is None
+            assert event.likelihood is None and event.low_confidence_fields == ()
+            assert not event.is_enriched()
 
         assert main(["cluster", "--events", str(events), "--levels", "10,100",
                      "--seed", "7", "--out-models", str(models)]) == 0
@@ -105,6 +136,56 @@ class TestStageChain:
         out = capsys.readouterr().out
         rows = json.loads(out[out.index("["):])
         assert any(r["category"] == "Others" for r in rows)
+
+
+class TestMatchesPipeline:
+    def test_ingest_infer_detect_chain(self, synth_dir, pipeline_out, tmp_path):
+        records = tmp_path / "records.jsonl"
+        events = tmp_path / "events.jsonl"
+        spikes = tmp_path / "spikes.jsonl"
+        assert main(["ingest", "--corpus", str(synth_dir / "posts.jsonl"),
+                     *_pipeline_filter_flags(synth_dir), "--out", str(records)]) == 0
+        assert main(["infer-events", "--records", str(records), "--backend", "stub",
+                     "--fixtures", str(synth_dir / "llm_fixtures.json"),
+                     "--retriever-fixtures", str(synth_dir / "retriever_fixtures.json"),
+                     "--out", str(events)]) == 0
+        assert main(["detect-spikes", "--traffic", str(synth_dir / "traffic.csv"),
+                     "--out", str(spikes)]) == 0
+
+        assert records.read_bytes() == (pipeline_out / "records.jsonl").read_bytes()
+        assert spikes.read_bytes() == (pipeline_out / "spikes.jsonl").read_bytes()
+        # the pipeline goes on to append merges, re-inference and signatures
+        for name, expected_lines in (("events.jsonl", 20), ("runs.jsonl", 180)):
+            ours = (tmp_path / name).read_text().splitlines()
+            theirs = (pipeline_out / name).read_text().splitlines()
+            assert len(ours) == expected_lines
+            assert ours == theirs[:len(ours)]
+
+
+class TestUnembeddableEvent:
+    @pytest.fixture
+    def events_path(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        store = EventStore(path)
+        store.append(make_event(event_id="evt-a", description="Continental Cup semi-final"))
+        store.append(make_event(event_id="evt-b", date="2025-07-03",
+                                description="Arena rock concert"))
+        # no [a-z0-9] token: the stub embedder returns a zero vector
+        store.append(make_event(event_id="evt-jp", date="2025-07-04", description="東京ドーム公演"))
+        return path
+
+    def test_cluster_leaves_it_unsigned(self, events_path, tmp_path):
+        assert main(["cluster", "--events", str(events_path), "--levels", "2",
+                     "--out-models", str(tmp_path / "models.json")]) == 0
+        signatures = {e.event_id: e.semantic_signature
+                      for e in EventStore(events_path).load_live()}
+        assert signatures["evt-jp"] is None
+        assert signatures["evt-a"] is not None and signatures["evt-b"] is not None
+
+    def test_dedup_skips_it(self, events_path):
+        assert main(["dedup", "--events", str(events_path)]) == 0
+        live = EventStore(events_path).load_live()
+        assert [e.event_id for e in live] == ["evt-a", "evt-b", "evt-jp"]
 
 
 class TestReportCoverage:

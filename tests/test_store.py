@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from eventcast.model import ContentRecord, InvariantError, SpikeRecord
-from eventcast.store import EventStore, JsonlStore, open_stores, store_append
+from eventcast.store import EventStore, JsonlStore, fresh_stores
 
 from .conftest import MONDAY, make_event, make_record
 
 
 def test_append_returns_unique_ids_and_reloads(tmp_path):
     store = EventStore(tmp_path / "events.jsonl")
-    a = store_append(store, make_event(event_id="evt-a"))
-    b = store_append(store, make_event(event_id="evt-b"))
+    a = store.append(make_event(event_id="evt-a"))
+    b = store.append(make_event(event_id="evt-b"))
     assert a == "evt-a" and b == "evt-b" and a != b
     loaded = store.load_live()
     assert [e.event_id for e in loaded] == ["evt-a", "evt-b"]
@@ -20,7 +20,7 @@ def test_append_returns_unique_ids_and_reloads(tmp_path):
 def test_invariant_violation_names_field(tmp_path):
     store = EventStore(tmp_path / "events.jsonl")
     with pytest.raises(InvariantError, match="likelihood"):
-        store_append(store, make_event(likelihood=11))
+        store.append(make_event(likelihood=11))
 
 
 def test_reload_preserves_count_and_order(tmp_path):
@@ -77,10 +77,12 @@ def test_rejects_wrong_type(tmp_path):
 
 
 def test_open_stores_layout(tmp_path):
-    stores = open_stores(tmp_path)
+    stores = fresh_stores(tmp_path)
     assert set(stores) == {"events", "records", "spikes", "runs"}
     stores["records"].append(make_record())
     assert (tmp_path / "records.jsonl").exists()
+    # a second set under the same directory starts empty
+    assert fresh_stores(tmp_path)["records"].load() == []
 
 
 def test_io_failure_raises_retryable_error(tmp_path):
