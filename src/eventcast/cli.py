@@ -109,7 +109,8 @@ def cmd_infer_events(args) -> int:
         build_llm(config), build_retriever(config),
         EventStore(out), JsonlStore(out.parent / "runs.jsonl", InferenceRun, id_prefix="run"),
     )
-    print(f"{summary['events']} events written to {args.out}")
+    print(f"{summary['events']} events written to {args.out} "
+          f"({summary['records_failed']} records failed)")
     return 0
 
 

@@ -4,6 +4,11 @@ The backend contract is a single call: send(prompt, salt) -> completion
 text. Ensemble runs within an attempt differ only by the salt, which an
 HTTP backend maps to a sampling seed and the deterministic stub mixes
 into its fixture lookup key.
+
+Inference keeps at most ``MAX_CONCURRENT_REQUESTS`` remote requests in
+flight: every LLM and retriever call runs on a ``thread_pool`` worker. A
+plain ``requests.Session`` keeps up to ``requests.adapters.DEFAULT_POOLSIZE``
+(10) keep-alive connections per host, which covers that cap.
 """
 
 from __future__ import annotations
@@ -11,12 +16,39 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Protocol
 
 from ..model import InvariantError
+
+if TYPE_CHECKING:
+    import requests
+
+
+# stage_infer runs as many event threads again. On the remote_services
+# benchmark workload (15 ms per request, 2 cores) a run took about 5.0 s
+# at 4, 3.9-4.1 s at 6 and 3.4-4.0 s at 8: by then the run is bound by CPU.
+MAX_CONCURRENT_REQUESTS = 6
+
+
+@contextmanager
+def thread_pool(name: str) -> Iterator[ThreadPoolExecutor]:
+    """``MAX_CONCURRENT_REQUESTS`` worker threads; on exit, queued work is
+    cancelled and running work awaited.
+
+    Inference sends every remote request from a "request" pool whose tasks
+    never wait on other tasks, so work that waits on them (an event's
+    enrichment) may run on the caller's thread or on a second pool without
+    deadlock.
+    """
+    pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENT_REQUESTS,
+                              thread_name_prefix=f"eventcast-{name}")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class BackendError(RuntimeError):
@@ -76,11 +108,15 @@ class HttpLlmBackend:
 
     def __init__(self, config: LlmBackendConfig, auth_token_env: Optional[str] = None,
                  session: Optional[requests.Session] = None):
+        import requests  # the HTTP stack loads only with an HTTP client
+
         self.config = config
         self.auth_token = os.environ.get(auth_token_env, "") if auth_token_env else ""
         self.session = session or requests.Session()
 
     def send(self, prompt: str, salt: str = "") -> str:
+        import requests
+
         body = {
             "model": self.config.model_name,
             "input": prompt,
@@ -117,7 +153,6 @@ class StubLlmBackend:
 
     def __init__(self, fixtures: Dict[str, str]):
         self.fixtures = dict(fixtures)
-        self.calls = []  # (key, salt) in call order, for golden-prompt checks
         self.last_prompt: Optional[str] = None
 
     @classmethod
@@ -132,7 +167,6 @@ class StubLlmBackend:
 
     def send(self, prompt: str, salt: str = "") -> str:
         key = prompt_key(prompt, salt)
-        self.calls.append((key, salt))
         self.last_prompt = prompt
         if key not in self.fixtures:
             raise StubFixtureMissing(key)

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import Executor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
-
-import requests
+from itertools import groupby
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..model import FAILED, ContentRecord, EventAbstraction, InferenceRun
 from ..textclean import clean_text
-from .backends import BackendError, BackendTimeout, LlmBackend, StubFixtureMissing
+from .backends import (
+    BackendError,
+    BackendTimeout,
+    LlmBackend,
+    StubFixtureMissing,
+    thread_pool,
+)
 from .fields import (
     INFERABLE_SPECS,
     FieldSpec,
@@ -22,6 +29,9 @@ from .fields import (
     parse_value,
 )
 from .prompts import CONTEXT_DOC_CHARS, build_field_prompt
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +87,8 @@ class HttpRetriever:
 
     def __init__(self, base_url: str, timeout: float = 15.0,
                  session: Optional[requests.Session] = None):
+        import requests  # the HTTP stack loads only with an HTTP client
+
         self.base_url = base_url
         self.timeout = timeout
         self.session = session or requests.Session()
@@ -118,6 +130,86 @@ def enrich_with_context(
     return ContextBundle(event_id=event.event_id, retrieved_docs=tuple(docs))
 
 
+def _complete(llm: LlmBackend, prompt: str, salt: str, where: str,
+              timeout_retries: int) -> Optional[str]:
+    """One ensemble member's completion, or None when it abstains on backend trouble."""
+    for retry in range(timeout_retries + 1):
+        try:
+            return llm.send(prompt, salt=salt)
+        except BackendTimeout:
+            if retry == timeout_retries:
+                logger.warning("%s run %s timed out; counting as abstain", where, salt)
+        except StubFixtureMissing:
+            raise  # a fixture gap is a configuration defect, not noise
+        except BackendError as exc:
+            logger.warning("%s run %s failed (%s); counting as abstain", where, salt, exc)
+            return None
+    return None
+
+
+def _infer_fields(
+    event: EventAbstraction,
+    specs: Sequence[FieldSpec],
+    context: ContextBundle,
+    llm: LlmBackend,
+    pool: Executor,
+    ensemble_size: int,
+    max_attempts: int,
+    records: Sequence[ContentRecord],
+    timeout_retries: int,
+) -> List[InferenceRun]:
+    """``infer_field`` for several fields whose prompts do not depend on
+    each other: every ensemble member of every field still short of
+    consensus is sent at once, one attempt at a time."""
+    for spec in specs:
+        if not spec.ensemble_inferred:
+            raise ValueError(f"field {spec.field_name} is not ensemble-inferred")
+    prompts = [build_field_prompt(event, spec.prompt_template_id, records=records,
+                                  context_docs=context.retrieved_docs) for spec in specs]
+    outputs: List[list] = [[] for _ in specs]
+    consensus = [FAILED] * len(specs)
+    attempts = [0] * len(specs)
+    pending = list(range(len(specs)))
+    for attempt in range(1, max_attempts + 1):
+        if not pending:
+            break
+        completions = {
+            i: [pool.submit(_complete, llm, prompts[i], f"a{attempt}r{run_index}",
+                            f"{event.event_id}/{specs[i].field_name}", timeout_retries)
+                for run_index in range(ensemble_size)]
+            for i in pending
+        }
+        for i in pending:
+            spec = specs[i]
+            values = []
+            for run_index, future in enumerate(completions[i]):
+                completion = future.result()
+                if completion is None:
+                    values.append(None)
+                    continue
+                try:
+                    values.append(parse_value(spec.data_type, completion))
+                except ParseError as exc:
+                    logger.debug("%s/%s run a%dr%d unparseable: %s", event.event_id,
+                                 spec.field_name, attempt, run_index, exc)
+                    values.append(None)
+            outputs[i].extend(values)
+            attempts[i] = attempt
+            consensus[i] = aggregate_runs(spec, values)
+        pending = [i for i in pending if consensus[i] is FAILED]
+    return [
+        InferenceRun(
+            event_id=event.event_id,
+            field_name=spec.field_name,
+            run_outputs=tuple(outputs[i]),
+            consensus_value=consensus[i],
+            attempts=attempts[i],
+            ensemble_size=ensemble_size,
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+
 def infer_field(
     event: EventAbstraction,
     spec: FieldSpec,
@@ -131,59 +223,15 @@ def infer_field(
     """Infer one metadata field by ensemble consensus.
 
     Each attempt requests ensemble_size independent completions (same
-    prompt, distinct run salts), parses them per the field's data type
-    (failures abstain), and aggregates. A failed consensus triggers a
-    fresh attempt, up to max_attempts; the returned run keeps every
-    parsed output plus the final consensus value or FAILED.
+    prompt, distinct run salts) concurrently on a ``thread_pool("request")``,
+    parses them per the field's data type (failures abstain), and
+    aggregates. A failed consensus triggers a fresh attempt, up to
+    max_attempts; the returned run keeps every parsed output plus the
+    final consensus value or FAILED.
     """
-    if not spec.ensemble_inferred:
-        raise ValueError(f"field {spec.field_name} is not ensemble-inferred")
-    prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
-                                context_docs=context.retrieved_docs)
-    all_outputs: list = []
-    consensus = FAILED
-    attempts = 0
-    for attempt in range(1, max_attempts + 1):
-        attempts = attempt
-        values = []
-        for run_index in range(ensemble_size):
-            salt = f"a{attempt}r{run_index}"
-            completion = None
-            for retry in range(timeout_retries + 1):
-                try:
-                    completion = llm.send(prompt, salt=salt)
-                    break
-                except BackendTimeout:
-                    if retry == timeout_retries:
-                        logger.warning("%s/%s run %s timed out; counting as abstain",
-                                       event.event_id, spec.field_name, salt)
-                except StubFixtureMissing:
-                    raise  # a fixture gap is a configuration defect, not noise
-                except BackendError as exc:
-                    logger.warning("%s/%s run %s failed (%s); counting as abstain",
-                                   event.event_id, spec.field_name, salt, exc)
-                    break
-            if completion is None:
-                values.append(None)
-                continue
-            try:
-                values.append(parse_value(spec.data_type, completion))
-            except ParseError as exc:
-                logger.debug("%s/%s run %s unparseable: %s", event.event_id,
-                             spec.field_name, salt, exc)
-                values.append(None)
-        all_outputs.extend(values)
-        consensus = aggregate_runs(spec, values)
-        if consensus is not FAILED:
-            break
-    return InferenceRun(
-        event_id=event.event_id,
-        field_name=spec.field_name,
-        run_outputs=tuple(all_outputs),
-        consensus_value=consensus,
-        attempts=attempts,
-        ensemble_size=ensemble_size,
-    )
+    with thread_pool("request") as pool:
+        return _infer_fields(event, [spec], context, llm, pool, ensemble_size, max_attempts,
+                             records, timeout_retries)[0]
 
 
 def enrich_event(
@@ -195,19 +243,33 @@ def enrich_event(
     max_attempts: int = 3,
     max_docs: int = 3,
     field_specs: Sequence[FieldSpec] = INFERABLE_SPECS,
+    pool: Optional[Executor] = None,
 ) -> Tuple[EventAbstraction, List[InferenceRun]]:
     """Fill every unset ensemble-inferred field of one event, in registry
-    order (so entities exist before RAG-backed fields query for them)."""
-    runs = []
-    for spec in field_specs:
-        if getattr(event, spec.field_name) is not None:
-            continue
-        if spec.uses_rag and retriever is not None:
-            context = enrich_with_context(event, retriever, max_docs=max_docs)
-        else:
-            context = ContextBundle(event_id=event.event_id, retrieved_docs=())
-        run = infer_field(event, spec, context, llm, ensemble_size=ensemble_size,
-                          max_attempts=max_attempts, records=records)
-        runs.append(run)
-        event = apply_consensus(event, spec, run.consensus_value)
+    order, so that entities exist before the RAG-backed fields query for
+    them.
+
+    A prompt reads only the event's fixed fields, category and entities
+    (``prompts.event_summary``), and retrieval only its entities and
+    description, so each run of consecutive RAG-backed fields shares one
+    retrieval and is inferred together. Every request runs on ``pool`` (a
+    fresh ``thread_pool("request")`` when None); runs come back in field order.
+    """
+    specs = [spec for spec in field_specs if getattr(event, spec.field_name) is None]
+    runs: List[InferenceRun] = []
+    with nullcontext(pool) if pool is not None else thread_pool("request") as pool:
+        for uses_rag, group in groupby(specs, key=lambda spec: spec.uses_rag):
+            group = list(group)
+            context, batches = EMPTY_BUNDLE, [[spec] for spec in group]
+            if uses_rag:
+                batches = [group]
+                if retriever is not None:
+                    context = pool.submit(enrich_with_context, event, retriever,
+                                          max_docs).result()
+            for batch in batches:
+                batch_runs = _infer_fields(event, batch, context, llm, pool, ensemble_size,
+                                           max_attempts, records, timeout_retries=2)
+                for spec, run in zip(batch, batch_runs):
+                    event = apply_consensus(event, spec, run.consensus_value)
+                runs.extend(batch_runs)
     return event, runs

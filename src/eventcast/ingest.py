@@ -17,12 +17,13 @@ import time as time_mod
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import ContentRecord, InvariantError, ensure_utc, utc_from_iso
 from .textclean import clean_text
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -234,6 +235,8 @@ class HttpJsonConnector:
                  backoff_seconds: float = 1.0, timeout: float = 30.0,
                  session: Optional[requests.Session] = None,
                  rate_limiter: Optional[TokenBucket] = None):
+        import requests  # the HTTP stack loads only with an HTTP client
+
         self.base_url = base_url
         self.auth_token = os.environ.get(auth_token_env, "") if auth_token_env else ""
         self.max_retries = max_retries
@@ -244,6 +247,8 @@ class HttpJsonConnector:
         self.skip_report = SkipReport()
 
     def list_raw(self) -> Iterable[dict]:
+        import requests
+
         headers = {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
@@ -316,6 +321,8 @@ class HttpPageFetcher:
 
     def __init__(self, timeout: float = 20.0, session: Optional[requests.Session] = None,
                  rate_limiter: Optional[TokenBucket] = None):
+        import requests  # the HTTP stack loads only with an HTTP client
+
         self.timeout = timeout
         self.session = session or requests.Session()
         self.rate_limiter = rate_limiter

@@ -37,9 +37,16 @@ from .ingest import (
     FilePageFetcher,
     HttpPageFetcher,
 )
-from .inference.backends import HttpLlmBackend, LlmBackendConfig, StubLlmBackend
+from .inference.backends import (
+    BackendError,
+    HttpLlmBackend,
+    LlmBackendConfig,
+    StubFixtureMissing,
+    StubLlmBackend,
+    thread_pool,
+)
 from .inference.enrich import FixtureRetriever, HttpRetriever, enrich_event
-from .inference.extract import build_event, extract_events
+from .inference.extract import ExtractionError, build_event, extract_events
 from .model import ContentRecord, EventAbstraction, SpikeRecord, utc_from_iso
 from .semantics import (
     HashingStubEmbedder,
@@ -208,15 +215,13 @@ class SeriesTooShort(ValueError):
     """A traffic series ends inside its baseline fitting window."""
 
 
-def _enrich_and_append(config: PipelineConfig, event: EventAbstraction, llm, retriever,
-                       records: List[ContentRecord], events_store, runs_store) -> EventAbstraction:
-    """Fill the event's unset fields over ``records``; store its runs and the result."""
-    enriched, runs = enrich_event(
-        event, llm, retriever, records=records,
-        ensemble_size=config.ensemble_size,
-        max_attempts=config.max_attempts,
-        max_docs=config.max_context_docs,
-    )
+class AllRecordsFailed(RuntimeError):
+    """No record's extraction succeeded; the LLM backend is most likely down."""
+
+
+def _append_enriched(enriched: EventAbstraction, runs, events_store,
+                     runs_store) -> EventAbstraction:
+    """Store an enriched event's inference runs, then the event."""
     for run in runs:
         runs_store.append(run)
     events_store.append(enriched)
@@ -259,26 +264,57 @@ def stage_ingest(config: PipelineConfig, records_store):
 
 def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retriever,
                 events_store, runs_store):
-    """Extract, build and enrich each record's events; a repeated event id is skipped."""
+    """Extract, build and enrich each record's events; a repeated event id is skipped.
+
+    Records are extracted and events enriched concurrently, at most
+    ``MAX_CONCURRENT_REQUESTS`` requests at a time, and stored in record and
+    draft order. A record whose extraction fails is logged, counted and
+    reported; the run goes on unless every record fails. A missing stub
+    fixture, or any other error, fails the stage after storing what a
+    sequential run would have stored before it.
+    """
     events: List[EventAbstraction] = []
+    failed_records = []
     seen_ids = set()
     drafts_total = 0
     flagged_past = 0
-    for record in records:
-        drafts = extract_events(record, llm)
-        drafts_total += len(drafts)
-        for draft in drafts:
-            if "past_dated" in draft.flags:
-                flagged_past += 1
-            event = build_event(draft, record, default_timezone=config.default_timezone)
-            if event.event_id in seen_ids:
-                continue
-            seen_ids.add(event.event_id)
-            events.append(_enrich_and_append(config, event, llm, retriever, [record],
-                                             events_store, runs_store))
+    with thread_pool("request") as request_workers, thread_pool("event") as event_workers:
+        extractions = [request_workers.submit(extract_events, record, llm) for record in records]
+        enrichments = []
+        try:
+            for record, extraction in zip(records, extractions):
+                try:
+                    drafts = extraction.result()
+                except StubFixtureMissing:
+                    raise
+                except (ExtractionError, BackendError) as exc:
+                    logger.warning("record %s failed: %s", record.record_id, exc)
+                    failed_records.append({"record_id": record.record_id, "error": str(exc)})
+                    continue
+                drafts_total += len(drafts)
+                for draft in drafts:
+                    if "past_dated" in draft.flags:
+                        flagged_past += 1
+                    event = build_event(draft, record, default_timezone=config.default_timezone)
+                    if event.event_id in seen_ids:
+                        continue
+                    seen_ids.add(event.event_id)
+                    enrichments.append(event_workers.submit(
+                        enrich_event, event, llm, retriever, records=[record],
+                        ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
+                        max_docs=config.max_context_docs, pool=request_workers))
+        finally:
+            # also after a failure above: a sequential run would have stored
+            # these first, and an error here precedes it in record order
+            for enrichment in enrichments:
+                events.append(_append_enriched(*enrichment.result(), events_store, runs_store))
+    if records and len(failed_records) == len(records):
+        raise AllRecordsFailed(f"all {len(records)} records failed; first: "
+                               f"{failed_records[0]['error']}")
     return events, {
         "records_processed": len(records),
-        "records_failed": 0,
+        "records_failed": len(failed_records),
+        "failed_records": failed_records,
         "drafts": drafts_total,
         "drafts_flagged_past_dated": flagged_past,
         "events": len(events),
@@ -291,7 +327,13 @@ def stage_reenrich(config: PipelineConfig, merged: EventAbstraction, llm, retrie
     """Re-infer a merged survivor's cleared fields over its expanded record set."""
     records_by_id = {r.record_id: r for r in records}
     sources = [records_by_id[rid] for rid in merged.source_records if rid in records_by_id]
-    return _enrich_and_append(config, merged, llm, retriever, sources, events_store, runs_store)
+    enriched, runs = enrich_event(
+        merged, llm, retriever, records=sources,
+        ensemble_size=config.ensemble_size,
+        max_attempts=config.max_attempts,
+        max_docs=config.max_context_docs,
+    )
+    return _append_enriched(enriched, runs, events_store, runs_store)
 
 
 def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder, events_store,
@@ -441,8 +483,9 @@ def stage_report(config: PipelineConfig, spikes, events, matches, z_by_network, 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and return the machine-readable run report.
 
-    The run starts from empty stores in ``config.out_dir``, so a rerun into
-    the same directory leaves the same artifacts as a fresh one. The report
+    The run starts from empty stores in ``config.out_dir`` and removes the
+    other files it writes there, so a rerun into the same directory leaves
+    the same artifacts as a fresh one. The report
     counts inputs/outputs per stage and includes coverage when ground-truth
     labels are configured. All JSONL/CSV artifacts are byte-stable for a
     fixed config and seed; only the report's timings vary between runs.
@@ -450,6 +493,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stores = fresh_stores(out_dir)
+    for name in ("cluster_models.json", "matches.jsonl", "features.csv", "run_report.json"):
+        (out_dir / name).unlink(missing_ok=True)
+    for table in (out_dir / "reports").glob("*.csv"):
+        table.unlink()
 
     report: dict = {"stages": {}, "failures": [], "status": "ok"}
     stages = report["stages"]

@@ -15,13 +15,15 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import requests
 
 from .model import EventAbstraction, SemanticSignature
 from .store import EventStore
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -86,12 +88,16 @@ class HttpEmbedder:
 
     def __init__(self, endpoint_url: str, model_name: str, timeout: float = 60.0,
                  session: Optional[requests.Session] = None):
+        import requests  # the HTTP stack loads only with an HTTP client
+
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def embed(self, text: str) -> List[float]:
+        import requests
+
         try:
             resp = self.session.post(
                 self.endpoint_url,

@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eventcast.pipeline as pipeline
+from eventcast.inference.backends import BackendError, BackendTimeout, StubFixtureMissing
+from eventcast.inference.prompts import build_extract_prompt
 from eventcast.ingest import FilterConfig
-from eventcast.model import SpikeRecord
-from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
+from eventcast.model import ContentRecord, SpikeRecord
+from eventcast.pipeline import PipelineConfig, build_llm, materialize_scenario, run_pipeline
 from eventcast.semantics import HashingStubEmbedder, cluster_multilevel, embed_events
 from eventcast.store import EventStore, JsonlStore
 from eventcast.synth import default_scenario
@@ -100,6 +106,103 @@ class TestRerun:
         fresh = _artifacts(Path(config.out_dir))
         assert len(fresh) == 10
         assert _artifacts(tmp_path / "twice") == fresh
+
+
+    def test_rerun_removes_files_the_rerun_does_not_write(self, default_run, tmp_path):
+        _, config, _ = default_run
+        out = tmp_path / "out"
+        run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert (out / "reports" / "coverage.csv").exists()
+        report = run_pipeline(dataclasses.replace(config, out_dir=str(out), labels_path=None))
+        assert "coverage" not in report["stages"]["report"]
+        assert not (out / "reports" / "coverage.csv").exists()
+
+
+class TestRecordFailureIsolation:
+    """A backend fault on one record's extraction costs that record only."""
+
+    @staticmethod
+    def _failing_on(config, record_id, error):
+        """An LLM that raises ``error`` for every extraction request of one record."""
+        inner = build_llm(config)
+        records = JsonlStore(Path(config.out_dir) / "records.jsonl", ContentRecord).load()
+        victim = build_extract_prompt(next(r for r in records if r.record_id == record_id))
+
+        class FailingOnOneRecord:
+            def send(self, prompt, salt=""):
+                if prompt.startswith(victim):
+                    raise error
+                return inner.send(prompt, salt)
+
+        return FailingOnOneRecord()
+
+    @pytest.mark.parametrize("error, reason", [
+        (BackendTimeout("slow"), "backend timed out"),
+        (BackendError("HTTP 500"), "HTTP 500"),
+    ], ids=["timeout", "backend_error"])
+    def test_failed_record_is_counted_and_the_run_goes_on(self, default_run, tmp_path,
+                                                          monkeypatch, error, reason):
+        _, config, _ = default_run
+        victim_event = EventStore(Path(config.out_dir) / "events.jsonl").load_live()[0]
+        record_id = victim_event.source_records[0]
+        llm = self._failing_on(config, record_id, error)
+        monkeypatch.setattr(pipeline, "build_llm", lambda _config: llm)
+        out = tmp_path / "out"
+        report = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        infer = report["stages"]["infer"]
+        assert report["status"] == "ok"
+        assert infer["records_failed"] == 1 and infer["events"] == 19
+        assert [f["record_id"] for f in infer["failed_records"]] == [record_id]
+        assert reason in infer["failed_records"][0]["error"]
+        stored = {e.event_id for e in EventStore(out / "events.jsonl").load_live()}
+        assert victim_event.event_id not in stored
+
+    def test_every_record_failing_fails_the_stage(self, default_run, tmp_path, monkeypatch):
+        _, config, _ = default_run
+
+        class Down:
+            def send(self, prompt, salt=""):
+                raise BackendError("request failed: connection refused")
+
+        monkeypatch.setattr(pipeline, "build_llm", lambda _config: Down())
+        report = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
+        assert report["status"] == "failed at infer"
+        assert "all 21 records failed" in report["failures"][0]["error"]
+        assert "connection refused" in report["failures"][0]["error"]
+
+    def test_missing_extraction_fixture_still_fails_the_stage(self, default_run, tmp_path,
+                                                              monkeypatch):
+        _, config, _ = default_run
+        good = Path(config.out_dir)
+        records = JsonlStore(good / "records.jsonl", ContentRecord).load()
+        before = {r.record_id for r in records[:10]}
+        llm = self._failing_on(config, records[10].record_id, StubFixtureMissing("0" * 64))
+        monkeypatch.setattr(pipeline, "build_llm", lambda _config: llm)
+        out = tmp_path / "out"
+        report = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert report["status"] == "failed at infer"
+        # what a sequential run stores before the failing record: the
+        # enriched events of every record before it, and their runs
+        stored = EventStore(out / "events.jsonl").load_live()
+        assert stored and {e.source_records[0] for e in stored} <= before
+        infer_lines = (good / "events.jsonl").read_bytes().splitlines(keepends=True)[:20]
+        expected = [line for line in infer_lines
+                    if json.loads(line)["source_records"][0] in before]
+        assert (out / "events.jsonl").read_bytes() == b"".join(expected)
+        assert (good / "runs.jsonl").read_bytes().startswith((out / "runs.jsonl").read_bytes())
+        stored_runs = {json.loads(line)["event_id"]
+                       for line in (out / "runs.jsonl").read_text().splitlines()}
+        assert stored_runs == {e.event_id for e in stored}
+
+
+def test_import_leaves_the_http_stack_unloaded():
+    # requests and its dependencies add about 10 MB to every process that
+    # imports eventcast; only building an HTTP client should pay for them
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    code = "import sys, eventcast.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestEmbeddingPass:
