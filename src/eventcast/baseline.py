@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from datetime import timedelta
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from datetime import datetime, timedelta, timezone
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .model import SpikeRecord, TrafficSeries, ensure_utc, utc_from_iso, utc_to_iso
+from .model import (SpikeRecord, TrafficSeries, ensure_utc, readonly_float64, utc_from_iso,
+                    utc_to_iso)
 
 MINUTES_PER_DAY = 1440
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # a Thursday: weekday 3
 STD_EPS = 1e-6  # absolute floor; guards flat history
 
 
@@ -59,9 +63,6 @@ class BaselineModel:
     def bins_per_day(self) -> int:
         return MINUTES_PER_DAY // self.bin_minutes
 
-    def lookup(self, slot: Tuple[int, int]) -> Optional[Tuple[float, float, int]]:
-        return self.stats.get(slot)
-
     def to_dict(self) -> dict:
         return {
             "network_id": self.network_id,
@@ -79,24 +80,24 @@ class BaselineModel:
         return cls(d["network_id"], d["bin_minutes"], d["window_weeks"], stats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: compare the arrays with numpy
 class ZSeries:
-    """Residual Z-scores aligned sample-for-sample with the scored series."""
+    """Residual Z-scores (a read-only float64 array) aligned with the scored series."""
 
     network_id: str
-    start: object
+    start: datetime
     step_seconds: int
-    z_values: tuple
+    z_values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "start", ensure_utc(self.start, "ZSeries", "start"))
-        vals = tuple(float(v) for v in self.z_values)
-        if not vals:
+        vals = readonly_float64(self.z_values)
+        if not vals.size:
             raise ConfigError("ZSeries.z_values must be non-empty")
-        for i, v in enumerate(vals):
-            # NaN marks a missing input sample; anything else must be finite
-            if not math.isnan(v) and not math.isfinite(v):
-                raise ConfigError(f"ZSeries.z_values[{i}] is {v!r}; must be finite")
+        bad = np.flatnonzero(np.isinf(vals))  # NaN marks a missing input sample
+        if bad.size:
+            raise ConfigError(f"ZSeries.z_values[{bad[0]}] is {vals[bad[0]].item()!r}; "
+                              "must be finite")
         object.__setattr__(self, "z_values", vals)
 
     def __len__(self):
@@ -106,8 +107,14 @@ class ZSeries:
         return self.start + timedelta(seconds=index * self.step_seconds)
 
 
-def _slot_of(ts, bin_minutes: int) -> Tuple[int, int]:
-    return ts.weekday(), (ts.hour * 60 + ts.minute) // bin_minutes
+def _sample_slots(start: datetime, step_seconds: int, n: int, bin_minutes: int):
+    """Day number since 1970-01-01 and slot ``weekday * bins_per_day + bin`` of each sample.
+
+    Whole epoch seconds suffice: the sub-second part every sample shares never moves a bin.
+    """
+    seconds = (start - EPOCH) // timedelta(seconds=1) + step_seconds * np.arange(n, dtype=np.int64)
+    day, second_of_day = np.divmod(seconds, 86400)
+    return day, (day + 3) % 7 * (MINUTES_PER_DAY // bin_minutes) + second_of_day // (60 * bin_minutes)
 
 
 def fit_baseline(
@@ -129,22 +136,27 @@ def fit_baseline(
             f"series spans {span_seconds / 86400:.2f} days; need at least one full week"
         )
 
-    # slot -> day ordinal -> samples
-    per_slot: Dict[Tuple[int, int], Dict[int, List[float]]] = {}
-    ts = series.start
-    step = timedelta(seconds=series.step_seconds)
-    for v in series.values:
-        if not math.isnan(v):
-            slot = _slot_of(ts, bin_minutes)
-            day = ts.date().toordinal()
-            per_slot.setdefault(slot, {}).setdefault(day, []).append(v)
-        ts = ts + step
+    day, slot = _sample_slots(series.start, series.step_seconds, len(series), bin_minutes)
+    # observed samples by slot, days in order, samples of a day in time order
+    order = np.flatnonzero(~np.isnan(series.values))
+    order = order[np.lexsort((day[order], slot[order]))]
+    day, slot, values = day[order], slot[order], series.values[order]
+    # keep each slot's last window_weeks days (day_number steps by one per day within a slot)
+    day_number = np.cumsum(np.diff(day, prepend=day[:1]) != 0)
+    last_of_slot = np.flatnonzero(np.diff(slot, append=-1))
+    last_day_number = np.repeat(day_number[last_of_slot], np.diff(last_of_slot, prepend=-1))
+    trailing = day_number > last_day_number - window_weeks
+    slot, values = slot[trailing], values[trailing]
 
+    # the rows of a (slots, count) matrix reduce exactly like each pool on its own
+    slot_ids, first, counts = np.unique(slot, return_index=True, return_counts=True)
     stats = {}
-    for slot, by_day in per_slot.items():
-        trailing_days = sorted(by_day)[-window_weeks:]
-        pooled = np.array([v for d in trailing_days for v in by_day[d]], dtype=float)
-        stats[slot] = (float(pooled.mean()), float(pooled.std()), int(pooled.size))
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        pools = values[first[rows, None] + np.arange(count)]
+        for s, m, sd in zip(slot_ids[rows].tolist(), pools.mean(axis=1).tolist(),
+                            pools.std(axis=1).tolist()):
+            stats[divmod(s, MINUTES_PER_DAY // bin_minutes)] = (m, sd, count)
     return BaselineModel(series.network_id, bin_minutes, window_weeks, stats)
 
 
@@ -159,30 +171,17 @@ def zscore_series(
     """
     if std_floor_fraction < 0:
         raise ConfigError("std_floor_fraction must be >= 0")
-    missing = []
-    seen = set()
-    ts = series.start
-    step = timedelta(seconds=series.step_seconds)
-    slots = []
-    for _ in series.values:
-        slot = _slot_of(ts, model.bin_minutes)
-        slots.append(slot)
-        if slot not in model.stats and slot not in seen:
-            seen.add(slot)
-            missing.append(slot)
-        ts = ts + step
+    _day, slot = _sample_slots(series.start, series.step_seconds, len(series), model.bin_minutes)
+    slot_ids, slot_of_sample = np.unique(slot, return_inverse=True)
+    slots = [divmod(s, model.bins_per_day()) for s in slot_ids.tolist()]
+    missing = [s for s in slots if s not in model.stats]
     if missing:
-        raise UnpopulatedBinsError(sorted(missing))
+        raise UnpopulatedBinsError(missing)
 
-    z = []
-    for v, slot in zip(series.values, slots):
-        if math.isnan(v):
-            z.append(float("nan"))
-            continue
-        mean, std, _ = model.stats[slot]
-        denom = max(std, std_floor_fraction * mean, STD_EPS)
-        z.append((v - mean) / denom)
-    return ZSeries(series.network_id, series.start, series.step_seconds, tuple(z))
+    mean, std, _count = np.array([model.stats[s] for s in slots]).T
+    denom = np.maximum(np.maximum(std, std_floor_fraction * mean), STD_EPS)
+    z = (series.values - mean[slot_of_sample]) / denom[slot_of_sample]
+    return ZSeries(series.network_id, series.start, series.step_seconds, z)
 
 
 def detect_spikes(
@@ -202,41 +201,29 @@ def detect_spikes(
     if z_threshold <= 0 or min_duration_minutes <= 0 or merge_gap_minutes <= 0:
         raise ConfigError("thresholds and durations must be positive")
 
-    zv = np.asarray(z.z_values, dtype=float)
+    zv = z.z_values
     step_min = z.step_seconds / 60.0
-    above = np.zeros(len(zv), dtype=bool)
-    finite = ~np.isnan(zv)
-    above[finite] = zv[finite] >= z_threshold
+    above = zv >= z_threshold  # False at NaN
 
-    # maximal runs of consecutive above-threshold samples
-    runs: List[Tuple[int, int]] = []  # [first, last] sample indices
+    # maximal runs of consecutive above-threshold samples, as [first, last] indices
     padded = np.concatenate(([False], above, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    for a, b in zip(edges[::2], edges[1::2]):
-        runs.append((int(a), int(b - 1)))
+    firsts, lasts = edges[::2], edges[1::2] - 1
 
-    # merge runs across short, NaN-free gaps
-    merged: List[Tuple[int, int]] = []
-    for first, last in runs:
-        if merged:
-            prev_first, prev_last = merged[-1]
-            gap_samples = first - prev_last - 1
-            gap_minutes = gap_samples * step_min
-            gap_clean = not np.isnan(zv[prev_last + 1:first]).any()
-            if gap_minutes < merge_gap_minutes and gap_clean:
-                merged[-1] = (prev_first, last)
-                continue
-        merged.append((first, last))
+    # merge neighbouring runs across short, NaN-free gaps
+    nans_before = np.concatenate(([0], np.cumsum(np.isnan(zv))))
+    joins_next = np.zeros(len(firsts), dtype=bool)
+    joins_next[:-1] = ((firsts[1:] - lasts[:-1] - 1) * step_min < merge_gap_minutes) & (
+        nans_before[firsts[1:]] == nans_before[lasts[:-1] + 1])
+    firsts, lasts = firsts[~np.roll(joins_next, 1)], lasts[~joins_next]
 
     spikes = []
-    for first, last in merged:
+    for first, last in zip(firsts.tolist(), lasts.tolist()):
         duration = (last - first + 1) * step_min
         if duration < min_duration_minutes:
             continue
         window = zv[first:last + 1]
-        mask = ~np.isnan(window)
-        mask[mask] = window[mask] >= z_threshold
-        above_vals = window[mask]
+        above_vals = window[window >= z_threshold]
         spikes.append(
             SpikeRecord(
                 network_id=z.network_id,
@@ -263,6 +250,7 @@ def spike_frequency(spikes: Sequence[SpikeRecord], z_bins: Sequence[float]) -> D
 # -- traffic CSV interface ----------------------------------------------------
 
 TRAFFIC_CSV_HEADER = ["timestamp_utc", "network_id", "bits_per_second"]
+CSV_WRITE_CHUNK = 1024  # samples formatted at once: the writer's buffers stay this small
 
 
 def write_traffic_csv(path, series_list: Sequence[TrafficSeries]) -> None:
@@ -270,45 +258,70 @@ def write_traffic_csv(path, series_list: Sequence[TrafficSeries]) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRAFFIC_CSV_HEADER)
         for series in series_list:
-            ts = series.start
-            step = timedelta(seconds=series.step_seconds)
-            for v in series.values:
-                value = "" if math.isnan(v) else repr(v)
-                writer.writerow([utc_to_iso(ts), series.network_id, value])
-                ts = ts + step
+            start = np.datetime64(series.start.replace(tzinfo=None), "us")
+            step = np.timedelta64(series.step_seconds, "s")
+            unit = "us" if series.start.microsecond else "s"
+            for lo in range(0, len(series), CSV_WRITE_CHUNK):
+                index = np.arange(lo, min(lo + CSV_WRITE_CHUNK, len(series)))
+                stamps = np.datetime_as_string(start + index * step, unit=unit, timezone="UTC")
+                values = ("" if math.isnan(v) else repr(v) for v in series.values[index].tolist())
+                writer.writerows(zip(stamps, [series.network_id] * len(index), values))
 
 
 def read_traffic_csv(path) -> Dict[str, TrafficSeries]:
     """Load per-network uniform series from the documented CSV format.
 
-    Rows must be time-ordered per network with a uniform step; an empty
-    bits_per_second field marks a missing sample.
+    Each network's rows are sorted by time and must then have a uniform step
+    of a whole number of seconds; an empty bits_per_second field marks a
+    missing sample. Malformed input raises ConfigError naming the line or network.
     """
-    rows: Dict[str, List[Tuple[object, float]]] = {}
+    one_us = timedelta(microseconds=1)
+    parsed: Dict[str, int] = {}  # timestamp text -> epoch microseconds
+    columns: Dict[str, Tuple[array, array]] = defaultdict(lambda: (array("q"), array("d")))
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRAFFIC_CSV_HEADER:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRAFFIC_CSV_HEADER:
             raise ConfigError(
-                f"traffic CSV header must be {','.join(TRAFFIC_CSV_HEADER)}, got {reader.fieldnames}"
+                f"traffic CSV header must be {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
             )
-        for row in reader:
-            raw = row["bits_per_second"].strip()
-            value = float("nan") if raw == "" else float(raw)
-            rows.setdefault(row["network_id"], []).append((utc_from_iso(row["timestamp_utc"]), value))
+        for row in filter(None, reader):  # skips blank lines
+            try:
+                stamp_text, network_id, raw = row
+                stamp = parsed.get(stamp_text)
+                if stamp is None:
+                    stamp = parsed[stamp_text] = (utc_from_iso(stamp_text) - EPOCH) // one_us
+                value = float(raw) if raw.strip() else math.nan
+            except ValueError as exc:
+                raise ConfigError(f"traffic CSV line {reader.line_num}: {exc}") from None
+            stamps, values = columns[network_id]
+            stamps.append(stamp)
+            values.append(value)
 
     out = {}
-    for network_id, samples in rows.items():
-        samples.sort(key=lambda p: p[0])
-        if len(samples) < 2:
+    for network_id, (stamps, values) in columns.items():
+        if len(stamps) < 2:
             raise ConfigError(f"network {network_id}: need at least 2 samples")
-        step = (samples[1][0] - samples[0][0]).total_seconds()
-        for (t0, _), (t1, _) in zip(samples, samples[1:]):
-            if abs((t1 - t0).total_seconds() - step) > 1e-9:
-                raise ConfigError(f"network {network_id}: non-uniform step near {utc_to_iso(t1)}")
+        stamps = np.frombuffer(stamps, dtype=np.int64)
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        steps = np.diff(stamps)
+        repeated = np.flatnonzero(steps == 0)
+        if repeated.size:
+            raise ConfigError(f"network {network_id}: duplicate timestamp "
+                              f"{utc_to_iso(EPOCH + int(stamps[repeated[0]]) * one_us)}")
+        uneven = np.flatnonzero(steps != steps[0])
+        if uneven.size:
+            raise ConfigError(f"network {network_id}: non-uniform step near "
+                              f"{utc_to_iso(EPOCH + int(stamps[uneven[0] + 1]) * one_us)}")
+        step_seconds, fraction = divmod(int(steps[0]), 1_000_000)
+        if fraction:
+            raise ConfigError(f"network {network_id}: step of {steps[0] / 1e6} s is not "
+                              "a whole number of seconds")
         out[network_id] = TrafficSeries(
             network_id=network_id,
-            start=samples[0][0],
-            step_seconds=int(step),
-            values=tuple(v for _, v in samples),
+            start=EPOCH + int(stamps[0]) * one_us,
+            step_seconds=step_seconds,
+            values=np.frombuffer(values, dtype=np.float64)[order],
         )
     return out

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .baseline import ZSeries
 from .model import EventAbstraction, SpikeRecord, utc_to_iso
@@ -329,16 +330,12 @@ def export_features(
 
 
 def _peak_z_in_window(z: Optional[ZSeries], win_start, win_end) -> Optional[float]:
+    """Largest observed Z among the samples timed inside [win_start, win_end]."""
     if z is None:
         return None
     step = timedelta(seconds=z.step_seconds)
-    series_end = z.start + step * len(z.z_values)
-    if win_end < z.start or win_start > series_end:
-        return None  # future (or pre-history) window: no observed target
-    peak = None
-    ts = z.start
-    for value in z.z_values:
-        if win_start <= ts <= win_end and not math.isnan(value):
-            peak = value if peak is None else max(peak, value)
-        ts = ts + step
-    return peak
+    first = max(0, -((z.start - win_start) // step))  # ceiling division
+    end = max(first, (win_end - z.start) // step + 1)  # one past the window's last sample
+    window = z.z_values[first:end]
+    observed = window[~np.isnan(window)]
+    return float(observed.max()) if observed.size else None

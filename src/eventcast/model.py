@@ -15,6 +15,8 @@ from datetime import date, datetime, time, timedelta, timezone
 from typing import Any, Mapping, Optional
 from zoneinfo import ZoneInfo
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 UNKNOWN_TIME = "unknown"
@@ -53,6 +55,16 @@ def utc_from_iso(s: str) -> datetime:
 
 def utc_to_iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def readonly_float64(values) -> np.ndarray:
+    """``values`` as a read-only 1-D float64 array, copied unless it already is one."""
+    if not isinstance(values, np.ndarray) or values.ndim != 1:
+        values = np.fromiter(values, dtype=np.float64)
+    elif values.dtype != np.float64 or values.flags.writeable:
+        values = values.astype(np.float64)
+    values.flags.writeable = False
+    return values
 
 
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?::(\d{2}))?$")
@@ -99,18 +111,19 @@ def derive_event_time_utc(
 
 # -- traffic -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: compare the arrays with numpy
 class TrafficSeries:
     """Uniformly sampled per-network throughput in bits/s.
 
-    NaN samples mark known gaps in the measurement; they are excluded
-    from baseline fitting and break contiguity in spike detection.
+    ``values`` is a read-only float64 array (built from any sequence). NaN
+    samples mark known gaps in the measurement; they are excluded from
+    baseline fitting and break contiguity in spike detection.
     """
 
     network_id: str
     start: datetime
     step_seconds: int
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         if not self.network_id:
@@ -118,14 +131,13 @@ class TrafficSeries:
         object.__setattr__(self, "start", ensure_utc(self.start, "TrafficSeries", "start"))
         if not isinstance(self.step_seconds, int) or self.step_seconds <= 0:
             _fail("TrafficSeries", "step_seconds", "must be a positive integer")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        vals = readonly_float64(self.values)
+        if not vals.size:
             _fail("TrafficSeries", "values", "must be non-empty")
-        for i, v in enumerate(vals):
-            if math.isnan(v):
-                continue  # explicit missing-sample marker
-            if not math.isfinite(v) or v < 0:
-                _fail("TrafficSeries", "values", f"sample {i} is {v!r}; must be finite and >= 0")
+        bad = np.flatnonzero((vals < 0) | np.isinf(vals))  # NaN marks a missing sample
+        if bad.size:
+            _fail("TrafficSeries", "values",
+                  f"sample {bad[0]} is {vals[bad[0]].item()!r}; must be finite and >= 0")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -133,11 +145,6 @@ class TrafficSeries:
 
     def time_at(self, index: int) -> datetime:
         return self.start + timedelta(seconds=index * self.step_seconds)
-
-    @property
-    def end(self) -> datetime:
-        """Exclusive end: one step past the last sample."""
-        return self.time_at(len(self.values))
 
     def slice(self, start_index: int, end_index: Optional[int] = None) -> "TrafficSeries":
         return replace(
@@ -152,7 +159,7 @@ class TrafficSeries:
             "network_id": self.network_id,
             "start": utc_to_iso(self.start),
             "step_seconds": self.step_seconds,
-            "values": [None if math.isnan(v) else v for v in self.values],
+            "values": [None if math.isnan(v) else v for v in self.values.tolist()],
         }
 
     @classmethod

@@ -257,15 +257,7 @@ def merge_events(
         first_mentioned_at=min(e.first_mentioned_at for e in members),
         merge_history=survivor.merge_history + absorbed_ids,
         # non-fixed metadata is stale: re-infer with the expanded records
-        category=None,
-        entities=None,
-        platforms=None,
-        data_per_user_mb=None,
-        audience_size=None,
-        continent_relevance=None,
-        nation_relevance=None,
-        spike_duration_hours=None,
-        likelihood=None,
+        **dict.fromkeys(EventAbstraction.INFERABLE_FIELDS),
         semantic_signature=None,
         low_confidence_fields=(),
     )

@@ -224,7 +224,7 @@ def synth_traffic(scenario: Scenario) -> Tuple[Dict[str, TrafficSeries], List[di
             network_id=network.network_id,
             start=scenario.start,
             step_seconds=scenario.step_seconds,
-            values=tuple(float(v) for v in values),
+            values=values,
         )
     labels.sort(key=lambda l: (l["network_id"], l["start"]))
     return series, labels

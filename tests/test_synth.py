@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from eventcast.baseline import detect_spikes, fit_baseline, zscore_series
@@ -85,7 +86,7 @@ class TestSynthTraffic:
     def test_same_seed_identical(self):
         series1, labels1 = synth_traffic(one_event_scenario(seed=11))
         series2, labels2 = synth_traffic(one_event_scenario(seed=11))
-        assert series1["net-1"].values == series2["net-1"].values
+        assert np.array_equal(series1["net-1"].values, series2["net-1"].values)
         assert labels1 == labels2
 
     def test_no_events_zero_noise_detects_nothing(self):
