@@ -18,6 +18,7 @@ from .pipeline import (
     SeriesTooShort,
     _label_spikes,
     _load_labels,
+    build_connector,
     build_embedder,
     build_llm,
     build_retriever,
@@ -86,7 +87,8 @@ def cmd_ingest(args) -> int:
         ),
         top_k_comments=args.top_k_comments,
     )
-    _, summary = stage_ingest(config, JsonlStore(args.out, ContentRecord, id_field="record_id"))
+    _, summary = stage_ingest(config, build_connector(config),
+                              JsonlStore(args.out, ContentRecord, id_field="record_id"))
     print(f"{summary['records']} records written to {args.out} "
           f"({summary['posts_skipped_malformed']} malformed posts skipped)")
     return 0

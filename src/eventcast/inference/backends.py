@@ -6,25 +6,23 @@ HTTP backend maps to a sampling seed and the deterministic stub mixes
 into its fixture lookup key.
 
 Inference keeps at most ``MAX_CONCURRENT_REQUESTS`` remote requests in
-flight: every LLM and retriever call runs on a ``thread_pool`` worker. A
-plain ``requests.Session`` keeps up to ``requests.adapters.DEFAULT_POOLSIZE``
-(10) keep-alive connections per host, which covers that cap.
+flight: every LLM, retriever and embedder call runs on a ``thread_pool``
+worker. Each HTTP client sends through its own ``remote.JsonEndpoint``,
+which reuses an idle keep-alive connection or opens one more, so a client
+holds at most one connection per request in flight.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Protocol
+from typing import Dict, Iterator, Optional, Protocol
 
 from ..model import InvariantError
-
-if TYPE_CHECKING:
-    import requests
+from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 
 
 # stage_infer runs as many event threads again. On the remote_services
@@ -106,17 +104,12 @@ class HttpLlmBackend:
     never from config files.
     """
 
-    def __init__(self, config: LlmBackendConfig, auth_token_env: Optional[str] = None,
-                 session: Optional[requests.Session] = None):
-        import requests  # the HTTP stack loads only with an HTTP client
-
+    def __init__(self, config: LlmBackendConfig, auth_token_env: Optional[str] = None):
         self.config = config
-        self.auth_token = os.environ.get(auth_token_env, "") if auth_token_env else ""
-        self.session = session or requests.Session()
+        self.endpoint = JsonEndpoint(config.endpoint_url, timeout=config.timeout_seconds,
+                                     headers=bearer_headers(auth_token_env))
 
     def send(self, prompt: str, salt: str = "") -> str:
-        import requests
-
         body = {
             "model": self.config.model_name,
             "input": prompt,
@@ -124,24 +117,14 @@ class HttpLlmBackend:
             "max_tokens": self.config.max_output_tokens,
             "seed": salt_seed(salt),
         }
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
         try:
-            resp = self.session.post(
-                self.config.endpoint_url, data=json.dumps(body), headers=headers,
-                timeout=self.config.timeout_seconds,
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeout(f"no response within {self.config.timeout_seconds}s") from exc
-        except requests.RequestException as exc:
-            raise BackendError(f"request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendError(f"backend returned HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise BackendError(f"non-JSON response: {resp.text[:200]}") from exc
+            payload = self.endpoint.request(body)
+        except RemoteTimeout as exc:
+            raise BackendTimeout(str(exc)) from exc
+        except RemoteError as exc:
+            raise BackendError(str(exc)) from exc
+        if not isinstance(payload, dict):
+            raise BackendError(f"response is not a JSON object: {str(payload)[:200]}")
         for key in ("completion", "output", "text"):
             if isinstance(payload.get(key), str):
                 return payload[key]

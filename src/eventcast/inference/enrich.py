@@ -8,9 +8,10 @@ from concurrent.futures import Executor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..model import FAILED, ContentRecord, EventAbstraction, InferenceRun
+from ..remote import JsonEndpoint
 from ..textclean import clean_text
 from .backends import (
     BackendError,
@@ -29,9 +30,6 @@ from .fields import (
     parse_value,
 )
 from .prompts import CONTEXT_DOC_CHARS, build_field_prompt
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -85,20 +83,14 @@ class HttpRetriever:
     {"title", "text", "url"} objects, best match first.
     """
 
-    def __init__(self, base_url: str, timeout: float = 15.0,
-                 session: Optional[requests.Session] = None):
-        import requests  # the HTTP stack loads only with an HTTP client
-
+    def __init__(self, base_url: str, timeout: float = 15.0):
         self.base_url = base_url
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.endpoint = JsonEndpoint(base_url, timeout=timeout)
 
     def search(self, query: str, max_results: int) -> List[Tuple[str, str, str]]:
-        resp = self.session.get(
-            self.base_url, params={"q": query, "limit": max_results}, timeout=self.timeout
-        )
-        resp.raise_for_status()
-        return [(d["title"], d["text"], d.get("url", "")) for d in resp.json()[:max_results]]
+        docs = self.endpoint.request(params={"q": query, "limit": max_results})
+        return [(d["title"], d["text"], d.get("url", "")) for d in docs[:max_results]]
 
 
 def enrich_with_context(

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 import time as time_mod
+import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import ContentRecord, InvariantError, ensure_utc, utc_from_iso
+from .remote import JsonEndpoint, RemoteError, bearer_headers
 from .textclean import clean_text
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -233,34 +231,24 @@ class HttpJsonConnector:
     def __init__(self, base_url: str, auth_token_env: Optional[str] = None,
                  requests_per_minute: float = 60, max_retries: int = 3,
                  backoff_seconds: float = 1.0, timeout: float = 30.0,
-                 session: Optional[requests.Session] = None,
                  rate_limiter: Optional[TokenBucket] = None):
-        import requests  # the HTTP stack loads only with an HTTP client
-
         self.base_url = base_url
-        self.auth_token = os.environ.get(auth_token_env, "") if auth_token_env else ""
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.endpoint = JsonEndpoint(base_url, timeout=timeout,
+                                     headers=bearer_headers(auth_token_env))
         self.rate_limiter = rate_limiter or TokenBucket(requests_per_minute)
         self.skip_report = SkipReport()
 
     def list_raw(self) -> Iterable[dict]:
-        import requests
-
-        headers = {}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_retries):
             self.rate_limiter.acquire()
             try:
-                resp = self.session.get(self.base_url, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                payload = resp.json()
+                payload = self.endpoint.request()
                 break
-            except (requests.RequestException, ValueError) as exc:
+            except RemoteError as exc:
                 last_exc = exc
                 wait = self.backoff_seconds * (2 ** attempt)
                 logger.warning("connector fetch failed (attempt %d/%d): %s; backing off %.1fs",
@@ -317,22 +305,27 @@ class FilePageFetcher:
 
 
 class HttpPageFetcher:
-    """Plain GET fetcher for linked webpages."""
+    """Plain GET fetcher for linked webpages.
 
-    def __init__(self, timeout: float = 20.0, session: Optional[requests.Session] = None,
-                 rate_limiter: Optional[TokenBucket] = None):
-        import requests  # the HTTP stack loads only with an HTTP client
+    Follows redirects and honours the proxy environment. A page decodes
+    with the charset its ``Content-Type`` names, else as UTF-8 with
+    undecodable bytes replaced.
+    """
 
+    def __init__(self, timeout: float = 20.0, rate_limiter: Optional[TokenBucket] = None):
         self.timeout = timeout
-        self.session = session or requests.Session()
         self.rate_limiter = rate_limiter
 
     def fetch(self, url: str) -> str:
         if self.rate_limiter is not None:
             self.rate_limiter.acquire()
-        resp = self.session.get(url, timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.text
+        with urllib.request.urlopen(url, timeout=self.timeout) as resp:
+            body = resp.read()
+            charset = resp.headers.get_content_charset() or "utf-8"
+        try:
+            return body.decode(charset, errors="replace")
+        except LookupError:  # a charset Python does not know
+            return body.decode("utf-8", errors="replace")
 
 
 def fetch_linked_pages(post: RawPost, fetcher, max_pages: int,

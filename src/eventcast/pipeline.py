@@ -17,8 +17,16 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, List, Optional
 
+from . import remote
 from . import reports as report_tables
-from .baseline import detect_spikes, fit_baseline, read_traffic_csv, spike_frequency, zscore_series
+from .baseline import (
+    UnpopulatedBinsError,
+    detect_spikes,
+    fit_baseline,
+    read_traffic_csv,
+    spike_frequency,
+    zscore_series,
+)
 from .correlate import (
     coverage,
     export_features,
@@ -233,9 +241,8 @@ def _append_enriched(enriched: EventAbstraction, runs, events_store,
 # call the layer functions through this module's globals, which is where
 # perfbench/tracing.py wraps them: moved elsewhere, the traced layers read 0.
 
-def stage_ingest(config: PipelineConfig, records_store):
-    """Filter the corpus and store one content record per kept post."""
-    connector = build_connector(config)
+def stage_ingest(config: PipelineConfig, connector, records_store):
+    """Filter the connector's posts and store one content record per kept post."""
     fetcher = build_page_fetcher(config)
     posts = list_posts(connector, config.filter)
     records = []
@@ -397,25 +404,36 @@ def stage_cluster(config: PipelineConfig, events: List[EventAbstraction], embedd
 def stage_detect_spikes(config: PipelineConfig, spikes_store):
     """Fit each network's baseline on its first weeks and store the spikes after them.
 
-    Returns the spikes, the z-series per network and the stage summary.
+    A network too short to score past its fitting weeks, or with slots the
+    fit has no data for, is logged, skipped and listed with its reason; the
+    stage fails only when every network does. Returns the spikes, the
+    z-series per network and the stage summary.
     """
     spikes: List[SpikeRecord] = []
     z_by_network = {}
+    failed_networks = []
+    first_error: Optional[Exception] = None
     if config.traffic_csv:
         traffic = read_traffic_csv(config.traffic_csv)
         for network_id in sorted(traffic):
             series = traffic[network_id]
             boundary = config.window_weeks * 7 * 86400 // series.step_seconds
-            if boundary >= len(series):
-                raise SeriesTooShort(
-                    f"network {network_id}: series too short to score past "
-                    f"{config.window_weeks} fitting weeks"
-                )
-            model = fit_baseline(series.slice(0, boundary),
-                                 window_weeks=config.window_weeks,
-                                 bin_minutes=config.bin_minutes)
-            z = zscore_series(model, series.slice(boundary),
-                              std_floor_fraction=config.std_floor_fraction)
+            try:
+                if boundary >= len(series):
+                    raise SeriesTooShort(
+                        f"network {network_id}: series too short to score past "
+                        f"{config.window_weeks} fitting weeks"
+                    )
+                model = fit_baseline(series.slice(0, boundary),
+                                     window_weeks=config.window_weeks,
+                                     bin_minutes=config.bin_minutes)
+                z = zscore_series(model, series.slice(boundary),
+                                  std_floor_fraction=config.std_floor_fraction)
+            except (SeriesTooShort, UnpopulatedBinsError) as exc:
+                logger.warning("network %s skipped: %s", network_id, exc)
+                failed_networks.append({"network_id": network_id, "error": str(exc)})
+                first_error = first_error or exc
+                continue
             z_by_network[network_id] = z
             found = detect_spikes(z, z_threshold=config.z_threshold,
                                   min_duration_minutes=config.min_duration_minutes,
@@ -423,7 +441,10 @@ def stage_detect_spikes(config: PipelineConfig, spikes_store):
             for spike in found:
                 spikes_store.append(spike)
             spikes.extend(found)
-    return spikes, z_by_network, {"networks": len(z_by_network), "spikes": len(spikes)}
+        if traffic and not z_by_network:
+            raise first_error
+    return spikes, z_by_network, {"networks": len(z_by_network), "spikes": len(spikes),
+                                  "failed_networks": failed_networks}
 
 
 def stage_correlate(config: PipelineConfig, spikes: List[SpikeRecord],
@@ -501,6 +522,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report: dict = {"stages": {}, "failures": [], "status": "ok"}
     stages = report["stages"]
     timings: dict = {}
+    connector = llm = retriever = embedder = None
 
     @contextmanager
     def run_stage(name):
@@ -516,7 +538,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     try:
         with run_stage("ingest"):
-            records, stages["ingest"] = stage_ingest(config, stores["records"])
+            connector = build_connector(config)
+            records, stages["ingest"] = stage_ingest(config, connector, stores["records"])
         with run_stage("infer"):
             llm, retriever = build_llm(config), build_retriever(config)
             events, stages["infer"] = stage_infer(config, records, llm, retriever,
@@ -544,11 +567,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
     except StageFailure:
         pass
 
+    report["remote"] = _remote_counts({"connector": connector, "llm": llm,
+                                       "retriever": retriever, "embedder": embedder})
     report["timings_seconds"] = timings
     with open(out_dir / "run_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report
+
+
+def _remote_counts(clients: dict) -> dict:
+    """Each service's request counts (zero for a local backend, or one never
+    built); closes the idle connections of the HTTP clients."""
+    counts = {}
+    for service, client in clients.items():
+        endpoint = getattr(client, "endpoint", None)
+        counts[service] = endpoint.counts() if endpoint else dict.fromkeys(remote.COUNTS, 0)
+        if endpoint:
+            endpoint.close()
+    return counts
 
 
 def _load_labels(path) -> List[dict]:

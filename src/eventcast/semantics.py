@@ -15,15 +15,14 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .inference.backends import thread_pool
 from .model import EventAbstraction, SemanticSignature
+from .remote import JsonEndpoint, RemoteError
 from .store import EventStore
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -86,28 +85,16 @@ class HashingStubEmbedder:
 class HttpEmbedder:
     """JSON-over-HTTP encoder: POST {model, input} -> {"vector": [...]}."""
 
-    def __init__(self, endpoint_url: str, model_name: str, timeout: float = 60.0,
-                 session: Optional[requests.Session] = None):
-        import requests  # the HTTP stack loads only with an HTTP client
-
+    def __init__(self, endpoint_url: str, model_name: str, timeout: float = 60.0):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.endpoint = JsonEndpoint(endpoint_url, timeout=timeout)
 
     def embed(self, text: str) -> List[float]:
-        import requests
-
         try:
-            resp = self.session.post(
-                self.endpoint_url,
-                data=json.dumps({"model": self.model_name, "input": text}),
-                headers={"Content-Type": "application/json"},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            vector = resp.json()["vector"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+            vector = self.endpoint.request({"model": self.model_name, "input": text})["vector"]
+        except (RemoteError, KeyError, TypeError) as exc:
             raise EmbeddingError(f"embedder request failed: {exc}") from exc
         return [float(v) for v in vector]
 
@@ -143,13 +130,20 @@ def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> EventEmb
 
 
 def embed_events(events: Sequence[EventAbstraction], embedder) -> Dict[str, EventEmbedding]:
-    """Embed each event by id; an event that cannot be embedded is logged and left out."""
-    embeddings = {}
-    for event in events:
-        try:
-            embeddings[event.event_id] = embed_event(event, embedder)
-        except (EmbeddingError, ValueError) as exc:
-            logger.warning("event %s not embedded: %s", event.event_id, exc)
+    """Embed each event by id, in input order; an event that cannot be
+    embedded is logged and left out.
+
+    The embedder requests run on a ``thread_pool("request")``, so at most
+    ``MAX_CONCURRENT_REQUESTS`` are in flight.
+    """
+    with thread_pool("request") as pool:
+        futures = [pool.submit(embed_event, event, embedder) for event in events]
+        embeddings = {}
+        for event, future in zip(events, futures):
+            try:
+                embeddings[event.event_id] = future.result()
+            except (EmbeddingError, ValueError) as exc:
+                logger.warning("event %s not embedded: %s", event.event_id, exc)
     return embeddings
 
 

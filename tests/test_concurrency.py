@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import pytest
-import requests
 
 import eventcast.inference.backends as backends
 from eventcast.inference.backends import StubLlmBackend
@@ -22,6 +21,7 @@ from eventcast.inference.fields import INFERABLE_SPECS, apply_consensus, parse_v
 from eventcast.inference.prompts import build_field_prompt
 from eventcast.pipeline import (
     PipelineConfig,
+    build_connector,
     materialize_scenario,
     run_pipeline,
     stage_infer,
@@ -103,7 +103,8 @@ class TestRequestPool:
     def test_cap_holds_and_four_events_beat_half_the_sequential_time(self, scenario_config,
                                                                       tmp_path):
         stores = fresh_stores(tmp_path)
-        records, _ = stage_ingest(scenario_config, stores["records"])
+        records, _ = stage_ingest(scenario_config, build_connector(scenario_config),
+                                  stores["records"])
         records = records[:4]
         llm = SlowBackend(StubLlmBackend.from_file(scenario_config.llm["fixtures_path"]))
         retriever = FixtureRetriever.from_file(scenario_config.retriever["fixtures_path"])
@@ -115,10 +116,6 @@ class TestRequestPool:
         assert 1 < llm.max_inflight <= backends.MAX_CONCURRENT_REQUESTS
         # one call after another would take at least calls x latency
         assert elapsed < 0.5 * llm.calls * SlowBackend.LATENCY_S
-
-    def test_http_sessions_keep_a_connection_per_concurrent_request(self):
-        # a plain requests.Session mounts adapters with this pool size
-        assert requests.adapters.DEFAULT_POOLSIZE >= backends.MAX_CONCURRENT_REQUESTS
 
 
 class TestRagFieldsIndependent:

@@ -7,17 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eventcast.pipeline as pipeline
+from eventcast.baseline import read_traffic_csv, write_traffic_csv
 from eventcast.inference.backends import BackendError, BackendTimeout, StubFixtureMissing
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.ingest import FilterConfig
-from eventcast.model import ContentRecord, SpikeRecord
+from eventcast.model import ContentRecord, SpikeRecord, TrafficSeries
 from eventcast.pipeline import PipelineConfig, build_llm, materialize_scenario, run_pipeline
 from eventcast.semantics import HashingStubEmbedder, cluster_multilevel, embed_events
 from eventcast.store import EventStore, JsonlStore
 from eventcast.synth import default_scenario
+
+from .conftest import make_series
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +103,20 @@ def _artifacts(out_dir: Path) -> dict:
 
 class TestRerun:
     def test_rerun_into_same_dir_matches_fresh_run(self, default_run, tmp_path):
-        _, config, _ = default_run
+        _, config, fresh_report = default_run
         twice = dataclasses.replace(config, out_dir=str(tmp_path / "twice"))
         run_pipeline(twice)
-        assert run_pipeline(twice)["stages"]["dedup"]["events_surviving"] == 18
+        report = run_pipeline(twice)
+        assert report["stages"]["dedup"]["events_surviving"] == 18
         fresh = _artifacts(Path(config.out_dir))
         assert len(fresh) == 10
         assert _artifacts(tmp_path / "twice") == fresh
+        # the report too, local backends' zero request counts included
+        for r in (report, fresh_report):
+            assert r["remote"]["llm"] == {"requests": 0, "connections": 0, "reconnects": 0,
+                                          "timeouts": 0}
+        assert ({k: v for k, v in report.items() if k != "timings_seconds"}
+                == {k: v for k, v in fresh_report.items() if k != "timings_seconds"})
 
 
     def test_rerun_removes_files_the_rerun_does_not_write(self, default_run, tmp_path):
@@ -116,6 +127,48 @@ class TestRerun:
         report = run_pipeline(dataclasses.replace(config, out_dir=str(out), labels_path=None))
         assert "coverage" not in report["stages"]["report"]
         assert not (out / "reports" / "coverage.csv").exists()
+
+
+def _bad_network(kind: str) -> TrafficSeries:
+    """A network that sorts between the default scenario's good ones and
+    cannot be scored: four weeks only, or five weeks whose fitting weeks
+    never saw the first slot of the week."""
+    samples_per_week = 7 * 288
+    values = np.full((4 if kind == "too short" else 5) * samples_per_week, 100.0)
+    if kind != "too short":
+        values[:4 * samples_per_week:samples_per_week] = np.nan
+    return make_series(values, network_id="net-eu-1b")
+
+
+class TestBadNetwork:
+    @pytest.mark.parametrize("kind, error", [
+        ("too short", "network net-eu-1b: series too short to score past 4 fitting weeks"),
+        ("unpopulated slot", "baseline has no data for slots: (wd=0, bin=0)"),
+    ])
+    def test_is_skipped_and_listed_and_good_networks_keep_their_spikes(
+            self, default_run, tmp_path, kind, error):
+        _, config, report = default_run
+        assert report["stages"]["detect_spikes"]["failed_networks"] == []
+        traffic = read_traffic_csv(config.traffic_csv)
+        write_traffic_csv(tmp_path / "traffic.csv",
+                          [traffic[k] for k in sorted(traffic)] + [_bad_network(kind)])
+        out = tmp_path / "out"
+        bad = run_pipeline(dataclasses.replace(config, out_dir=str(out),
+                                               traffic_csv=str(tmp_path / "traffic.csv")))
+        assert bad["status"] == "ok"
+        assert bad["stages"]["detect_spikes"] == {
+            **report["stages"]["detect_spikes"],
+            "failed_networks": [{"network_id": "net-eu-1b", "error": error}]}
+        assert ((out / "spikes.jsonl").read_bytes()
+                == (Path(config.out_dir) / "spikes.jsonl").read_bytes())
+
+    def test_every_network_failing_fails_the_stage(self, default_run, tmp_path):
+        _, config, _ = default_run
+        write_traffic_csv(tmp_path / "traffic.csv", [_bad_network("too short")])
+        report = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out"),
+                                                  traffic_csv=str(tmp_path / "traffic.csv")))
+        assert report["status"] == "failed at detect_spikes"
+        assert "series too short" in report["failures"][0]["error"]
 
 
 class TestRecordFailureIsolation:
@@ -195,14 +248,26 @@ class TestRecordFailureIsolation:
         assert stored_runs == {e.event_id for e in stored}
 
 
-def test_import_leaves_the_http_stack_unloaded():
-    # requests and its dependencies add about 10 MB to every process that
-    # imports eventcast; only building an HTTP client should pay for them
+def test_http_clients_load_no_third_party_http_stack():
+    # every remote client is built on the standard library alone
     src = str(Path(pipeline.__file__).resolve().parent.parent)
-    code = "import sys, eventcast.cli; print('requests' in sys.modules)"
+    code = """if True:
+        import sys, eventcast.cli, eventcast.pipeline as p
+        url = "http://127.0.0.1:9"
+        config = p.PipelineConfig(
+            connector="http", connector_http={"base_url": f"{url}/posts"},
+            page_fetcher={"kind": "http"},
+            llm={"kind": "http", "endpoint_url": f"{url}/llm", "model_name": "m"},
+            embedder={"kind": "http", "endpoint_url": f"{url}/embed", "model_name": "m"},
+            retriever={"kind": "http", "base_url": f"{url}/search"})
+        for build in (p.build_connector, p.build_page_fetcher, p.build_llm,
+                      p.build_embedder, p.build_retriever):
+            build(config)
+        print(sorted({"requests", "urllib3"} & set(sys.modules)))
+    """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestEmbeddingPass:
