@@ -84,8 +84,6 @@ class HttpRetriever:
     """
 
     def __init__(self, base_url: str, timeout: float = 15.0):
-        self.base_url = base_url
-        self.timeout = timeout
         self.endpoint = JsonEndpoint(base_url, timeout=timeout)
 
     def search(self, query: str, max_results: int) -> List[Tuple[str, str, str]]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from .model import ContentRecord, InvariantError, ensure_utc, utc_from_iso
 from .remote import JsonEndpoint, RemoteError, bearer_headers
@@ -232,10 +233,8 @@ class HttpJsonConnector:
                  requests_per_minute: float = 60, max_retries: int = 3,
                  backoff_seconds: float = 1.0, timeout: float = 30.0,
                  rate_limiter: Optional[TokenBucket] = None):
-        self.base_url = base_url
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
-        self.timeout = timeout
         self.endpoint = JsonEndpoint(base_url, timeout=timeout,
                                      headers=bearer_headers(auth_token_env))
         self.rate_limiter = rate_limiter or TokenBucket(requests_per_minute)
@@ -307,19 +306,31 @@ class FilePageFetcher:
 class HttpPageFetcher:
     """Plain GET fetcher for linked webpages.
 
-    Follows redirects and honours the proxy environment. A page decodes
-    with the charset its ``Content-Type`` names, else as UTF-8 with
-    undecodable bytes replaced.
+    Follows redirects and honours the proxy environment. Only http(s)
+    URLs are opened, redirect targets included: the URLs come from posts,
+    and ``urlopen``'s default opener would also read ``file:``, ``ftp:``
+    and ``data:`` URLs. A page decodes with the charset its
+    ``Content-Type`` names, else as UTF-8 with undecodable bytes replaced.
     """
 
     def __init__(self, timeout: float = 20.0, rate_limiter: Optional[TokenBucket] = None):
         self.timeout = timeout
         self.rate_limiter = rate_limiter
+        proxies = {scheme: url for scheme, url in urllib.request.getproxies().items()
+                   if scheme in ("http", "https")}
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(proxies), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler(), urllib.request.HTTPRedirectHandler(),
+                        urllib.request.HTTPDefaultErrorHandler(),
+                        urllib.request.HTTPErrorProcessor()):
+            self._opener.add_handler(handler)
 
     def fetch(self, url: str) -> str:
+        if urlsplit(url).scheme not in ("http", "https"):
+            raise ValueError(f"not an http(s) URL: {url!r}")
         if self.rate_limiter is not None:
             self.rate_limiter.acquire()
-        with urllib.request.urlopen(url, timeout=self.timeout) as resp:
+        with self._opener.open(url, timeout=self.timeout) as resp:
             body = resp.read()
             charset = resp.headers.get_content_charset() or "utf-8"
         try:

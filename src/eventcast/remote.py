@@ -12,6 +12,9 @@ A server may close a connection while it sits idle. A request on a reused
 connection that fails before a status line arrives is therefore sent
 once more on a new connection.
 
+Any 2xx status carries an answer. Redirects are not followed: the
+services are configured by URL, and a 3xx status is an error.
+
 ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once, when the endpoint is
 built; HTTPS goes through a proxy in a CONNECT tunnel. TLS uses the
 system's default trust store. Credentials are never read from
@@ -39,8 +42,8 @@ STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
 
 
 class RemoteError(Exception):
-    """A request got no usable answer: no connection, an error status or a
-    body that is not JSON."""
+    """A request got no usable answer: no connection, a status outside 2xx
+    or a body that is not JSON."""
 
 
 class RemoteTimeout(RemoteError):
@@ -84,7 +87,8 @@ class JsonEndpoint:
 
         ``params`` are appended to the URL as a query string. Raises
         RemoteTimeout after a socket timeout and RemoteError on a failed
-        connection, a status other than 200 or a body that is not JSON.
+        connection, a status outside 2xx or a body that is not JSON.
+        Redirects are not followed: a 3xx status is a RemoteError.
         """
         path = self._path
         if params:
@@ -102,7 +106,7 @@ class JsonEndpoint:
             raise RemoteTimeout(f"no response within {self.timeout}s") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteError(f"request failed: {exc}") from exc
-        if status != 200:
+        if not 200 <= status < 300:
             raise RemoteError(f"backend returned HTTP {status}: {_preview(raw)}")
         try:
             return json.loads(raw)

@@ -86,9 +86,7 @@ class HttpEmbedder:
     """JSON-over-HTTP encoder: POST {model, input} -> {"vector": [...]}."""
 
     def __init__(self, endpoint_url: str, model_name: str, timeout: float = 60.0):
-        self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.timeout = timeout
         self.endpoint = JsonEndpoint(endpoint_url, timeout=timeout)
 
     def embed(self, text: str) -> List[float]:

@@ -9,6 +9,7 @@ import json
 import logging
 import threading
 import time
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -38,7 +39,7 @@ from eventcast.semantics import (
 )
 from eventcast.synth import default_scenario
 
-from .conftest import make_event
+from .conftest import make_event, make_post
 from .test_pipeline import _artifacts
 
 
@@ -236,6 +237,18 @@ class TestErrors:
         # an error reply leaves the connection reusable
         assert server.accepted == 4 and len(server.requests) == 5
 
+    def test_any_2xx_answers_and_a_redirect_is_not_followed(self, serve):
+        def answer(method, path, body):
+            if path == "/old":
+                return 302, {"Location": "/new"}, b"moved"
+            return 203, {}, b'{"ok": true}'
+
+        server = serve(answer)
+        assert JsonEndpoint(f"{server.url}/new", timeout=5).request() == {"ok": True}
+        with pytest.raises(RemoteError, match="^backend returned HTTP 302: moved$"):
+            JsonEndpoint(f"{server.url}/old", timeout=5).request()
+        assert [path for _, path, _ in server.requests] == ["/new", "/old"]
+
 
 class TestHttpJsonConnector:
     def test_backs_off_exponentially_then_succeeds(self, serve, monkeypatch):
@@ -274,6 +287,29 @@ class TestHttpPageFetcher:
         server = serve(lambda method, path, _: (200, {"Content-Type": "text/html"},
                                                  "café".encode() + b" \xff"))
         assert HttpPageFetcher(timeout=5).fetch(f"{server.url}/page") == "café �"
+
+    def test_a_linked_file_url_is_not_read(self, serve, tmp_path, caplog):
+        secret = tmp_path / "secret.txt"
+        secret.write_text("do not leak")
+        server = serve(lambda method, path, _: (200, {}, b"page"))
+        fetcher = HttpPageFetcher(timeout=5)
+        for url in (secret.as_uri(), "data:,do%20not%20leak", "ftp://127.0.0.1:9/x"):
+            with pytest.raises(ValueError, match="^not an http"):
+                fetcher.fetch(url)
+        post = make_post(outbound_urls=[secret.as_uri(), f"{server.url}/page"])
+        with caplog.at_level(logging.WARNING, logger="eventcast.ingest"):
+            pages = ingest.fetch_linked_pages(post, fetcher, max_pages=2)
+        assert pages == [(f"{server.url}/page", "page")]
+        assert f"failed to fetch {secret.as_uri()}" in caplog.text
+
+    @pytest.mark.parametrize("target", ["file:///etc/hostname", "ftp://127.0.0.1:9/x",
+                                        "data:,do%20not%20leak"])
+    def test_a_redirect_off_http_is_not_followed(self, serve, target):
+        server = serve(lambda method, path, _: (302, {"Location": target}, b""))
+        with pytest.raises(urllib.error.URLError) as err:
+            HttpPageFetcher(timeout=5).fetch(f"{server.url}/old")
+        assert "Connection refused" not in str(err.value)  # no ftp connection was tried
+        assert len(server.requests) == 1
 
 
 class TestProxies:
