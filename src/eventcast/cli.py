@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .baseline import spike_frequency
+from .baseline import ConfigError, UnpopulatedBinsError, spike_frequency
 from .correlate import SpikeEventMatch, coverage, lead_time_cdf
 from .ingest import FilterConfig
 from .model import ContentRecord, InferenceRun, SpikeRecord
@@ -66,8 +66,8 @@ def cmd_detect_spikes(args) -> int:
     try:
         spikes, z_by_network, _ = stage_detect_spikes(
             config, JsonlStore(args.out, SpikeRecord, id_prefix="spk"))
-    except SeriesTooShort as exc:
-        print(exc, file=sys.stderr)
+    except (SeriesTooShort, UnpopulatedBinsError, ConfigError) as exc:
+        print(exc, file=sys.stderr)  # a malformed CSV, or no network could be scored
         return 2
     per_network = Counter(spike.network_id for spike in spikes)
     for network_id in z_by_network:
@@ -119,7 +119,6 @@ def cmd_infer_events(args) -> int:
 def _announce_merge(merged, group_ids):
     print(f"merged {len(group_ids)} events into {merged.event_id}; "
           "non-fixed fields cleared for re-inference")
-    return merged
 
 
 def cmd_dedup(args) -> int:
@@ -127,7 +126,7 @@ def cmd_dedup(args) -> int:
                             embedder={"kind": "hash", "dim": args.dim})
     store = EventStore(args.events)
     *_, summary = stage_dedup(config, store.load_live(), build_embedder(config), store,
-                              after_merge=_announce_merge)
+                              on_merge=_announce_merge)
     print(f"{summary['duplicate_groups']} duplicate groups merged in {args.events}")
     return 0
 

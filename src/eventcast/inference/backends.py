@@ -25,10 +25,14 @@ from ..model import InvariantError
 from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 
 
-# stage_infer runs as many event threads again. On the remote_services
-# benchmark workload (15 ms per request, 2 cores) a run took about 5.0 s
-# at 4, 3.9-4.1 s at 6 and 3.4-4.0 s at 8: by then the run is bound by CPU.
-MAX_CONCURRENT_REQUESTS = 6
+# stage_infer and stage_dedup run as many event threads again. On the
+# remote_services benchmark workload (15 ms per request, 2 cores, seed 1,
+# merges re-inferred concurrently) a run took 2.23 s at 6, 1.86 s at 8,
+# 1.60 s at 10 and 0.93 s at 24: the run waits on the cap, not on CPU. It
+# stays at 8 while the benchmark's peak_rss_mb counts the driver's memory,
+# which grows with each round a faster run fits into its 60 s, and while
+# its emulator's listen backlog of 5 stalls larger caps (ROADMAP item 4).
+MAX_CONCURRENT_REQUESTS = 8
 
 
 @contextmanager

@@ -13,6 +13,7 @@ import json
 import logging
 import threading
 import time as time_mod
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -330,7 +331,12 @@ class HttpPageFetcher:
             raise ValueError(f"not an http(s) URL: {url!r}")
         if self.rate_limiter is not None:
             self.rate_limiter.acquire()
-        with self._opener.open(url, timeout=self.timeout) as resp:
+        try:
+            resp = self._opener.open(url, timeout=self.timeout)
+        except urllib.error.HTTPError as exc:
+            exc.close()  # an error status or a refused redirect holds the open response
+            raise
+        with resp:
             body = resp.read()
             charset = resp.headers.get_content_charset() or "utf-8"
         try:

@@ -15,7 +15,7 @@ import time as time_mod
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from . import remote
 from . import reports as report_tables
@@ -329,27 +329,19 @@ def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retri
     }
 
 
-def stage_reenrich(config: PipelineConfig, merged: EventAbstraction, llm, retriever,
-                   records: List[ContentRecord], events_store, runs_store) -> EventAbstraction:
-    """Re-infer a merged survivor's cleared fields over its expanded record set."""
-    records_by_id = {r.record_id: r for r in records}
-    sources = [records_by_id[rid] for rid in merged.source_records if rid in records_by_id]
-    enriched, runs = enrich_event(
-        merged, llm, retriever, records=sources,
-        ensemble_size=config.ensemble_size,
-        max_attempts=config.max_attempts,
-        max_docs=config.max_context_docs,
-    )
-    return _append_enriched(enriched, runs, events_store, runs_store)
-
-
 def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder, events_store,
-                after_merge: Callable):
-    """Merge same-date near-duplicate events under their earliest-mentioned survivor.
+                runs_store=None, llm=None, retriever=None, records: Sequence[ContentRecord] = (),
+                on_merge: Optional[Callable] = None):
+    """Merge same-date near-duplicate events under their earliest-mentioned
+    survivor and, given an ``llm``, re-infer each survivor's cleared fields
+    over its expanded record set.
 
     Each merge is appended to ``events_store`` with the survivor's non-fixed
-    fields cleared. ``after_merge(merged, group_ids)`` returns the version
-    of the survivor to keep; the pipeline re-infers it there.
+    fields cleared, followed by its inference runs (to ``runs_store``) and
+    the re-inferred survivor; ``on_merge(merged, group_ids)`` is called as
+    each merge is stored. The groups are disjoint, so every survivor is
+    re-inferred at once, on one request pool, and stored in group order:
+    the stores read as after one merge at a time, also up to a failure.
     Returns the surviving events in first-insertion order, the embeddings
     still valid for them (a merged survivor's summary text changes, so its
     vector is dropped) and the stage summary.
@@ -358,14 +350,26 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
     unembedded = len(events) - len(embeddings)
     groups = find_duplicates(events, embeddings, sim_threshold=config.dedup_threshold)
     live = {e.event_id: e for e in events}
-    for group_ids in groups:
-        merged = merge_events([live[eid] for eid in group_ids], store=events_store)
-        merged = after_merge(merged, group_ids)
-        for eid in group_ids:
-            embeddings.pop(eid, None)
-            if eid != merged.event_id:
-                del live[eid]
-        live[merged.event_id] = merged
+    merges = [merge_events([live[eid] for eid in group_ids]) for group_ids in groups]
+    records_by_id = {r.record_id: r for r in records}
+    with thread_pool("request") as request_workers, thread_pool("event") as event_workers:
+        enrichments = [] if llm is None else [event_workers.submit(
+            enrich_event, merged, llm, retriever,
+            records=[records_by_id[rid] for rid in merged.source_records if rid in records_by_id],
+            ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
+            max_docs=config.max_context_docs, pool=request_workers) for merged in merges]
+        for index, (group_ids, merged) in enumerate(zip(groups, merges)):
+            # the absorbed ids close the survivor's merge history, in merge order
+            events_store.apply_merge(merged, merged.merge_history[1 - len(group_ids):])
+            if on_merge is not None:
+                on_merge(merged, group_ids)
+            if enrichments:
+                merged = _append_enriched(*enrichments[index].result(), events_store, runs_store)
+            for eid in group_ids:
+                embeddings.pop(eid, None)
+                if eid != merged.event_id:
+                    del live[eid]
+            live[merged.event_id] = merged
     return list(live.values()), embeddings, {
         "duplicate_groups": len(groups),
         "events_absorbed": sum(len(g) - 1 for g in groups),
@@ -547,10 +551,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         with run_stage("dedup"):
             embedder = build_embedder(config)
             events, embeddings, stages["dedup"] = stage_dedup(
-                config, events, embedder, stores["events"],
-                after_merge=lambda merged, _group_ids: stage_reenrich(
-                    config, merged, llm, retriever, records, stores["events"], stores["runs"]),
-            )
+                config, events, embedder, stores["events"], stores["runs"],
+                llm=llm, retriever=retriever, records=records)
         with run_stage("cluster"):
             events, stages["cluster"] = stage_cluster(
                 config, events, embedder, stores["events"], out_dir / "cluster_models.json",
@@ -577,8 +579,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _remote_counts(clients: dict) -> dict:
-    """Each service's request counts (zero for a local backend, or one never
-    built); closes the idle connections of the HTTP clients."""
+    """Each service's request counts and most requests in flight (zero for a
+    local backend, or one never built); closes the idle connections of the
+    HTTP clients."""
     counts = {}
     for service, client in clients.items():
         endpoint = getattr(client, "endpoint", None)

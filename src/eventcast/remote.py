@@ -33,8 +33,9 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import unquote, urlencode, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-# per-endpoint request counts, reported per service in run_report.json
-COUNTS = ("requests", "connections", "reconnects", "timeouts")
+# per-endpoint request counts and the most requests it had in flight at
+# once, reported per service in run_report.json
+COUNTS = ("requests", "connections", "reconnects", "timeouts", "max_inflight")
 
 # how a server's close of an idle keep-alive connection shows up on its
 # next request (http.client.RemoteDisconnected is a ConnectionResetError)
@@ -80,6 +81,7 @@ class JsonEndpoint:
             self._address = (via.hostname, via.port or 80)
         self._idle: list = []
         self._counts = dict.fromkeys(COUNTS, 0)
+        self._inflight = 0
         self._lock = threading.Lock()
 
     def request(self, body=None, params: Optional[dict] = None):
@@ -98,7 +100,10 @@ class JsonEndpoint:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        self._count("requests")
+        with self._lock:
+            self._counts["requests"] += 1
+            self._inflight += 1
+            self._counts["max_inflight"] = max(self._counts["max_inflight"], self._inflight)
         try:
             status, raw = self._exchange("GET" if data is None else "POST", path, data, headers)
         except TimeoutError as exc:
@@ -106,6 +111,9 @@ class JsonEndpoint:
             raise RemoteTimeout(f"no response within {self.timeout}s") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise RemoteError(f"request failed: {exc}") from exc
+        finally:
+            with self._lock:
+                self._inflight -= 1
         if not 200 <= status < 300:
             raise RemoteError(f"backend returned HTTP {status}: {_preview(raw)}")
         try:
@@ -114,7 +122,8 @@ class JsonEndpoint:
             raise RemoteError(f"non-JSON response: {_preview(raw)}") from exc
 
     def counts(self) -> Dict[str, int]:
-        """Requests sent, connections opened, stale connections replaced and timeouts."""
+        """Requests sent, connections opened, stale connections replaced,
+        timeouts, and the most requests in flight at once."""
         with self._lock:
             return dict(self._counts)
 

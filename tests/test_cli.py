@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -9,7 +10,7 @@ from eventcast.store import EventStore
 
 from eventcast.baseline import write_traffic_csv
 
-from .conftest import make_event, week_of_samples
+from .conftest import make_event, make_series, week_of_samples
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,31 @@ class TestDetectSpikes:
                      "--out", str(tmp_path / "spikes.jsonl")])
         assert code == 2
         assert "series too short" in capsys.readouterr().err
+
+    def test_no_network_with_a_populated_baseline_exits_2(self, tmp_path, capsys):
+        # five weeks whose fitting weeks never see the first slot of the week
+        samples_per_week = 7 * 288
+        values = [100.0] * (5 * samples_per_week)
+        for week in range(4):
+            values[week * samples_per_week] = math.nan
+        traffic = tmp_path / "traffic.csv"
+        write_traffic_csv(traffic, [make_series(values)])
+        code = main(["detect-spikes", "--traffic", str(traffic),
+                     "--out", str(tmp_path / "spikes.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == "baseline has no data for slots: (wd=0, bin=0)\n"
+
+    def test_malformed_csv_row_exits_2(self, tmp_path, capsys):
+        traffic = tmp_path / "traffic.csv"
+        write_traffic_csv(traffic, [week_of_samples(weeks=5)])
+        with open(traffic, "a", encoding="utf-8") as fh:
+            fh.write("2025-07-07T00:00:00Z,net-test\n")
+        code = main(["detect-spikes", "--traffic", str(traffic),
+                     "--out", str(tmp_path / "spikes.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("traffic CSV line ") and err.count("\n") == 1
+        assert not (tmp_path / "spikes.jsonl").exists()
 
 
 class TestIngest:

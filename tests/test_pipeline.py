@@ -114,7 +114,7 @@ class TestRerun:
         # the report too, local backends' zero request counts included
         for r in (report, fresh_report):
             assert r["remote"]["llm"] == {"requests": 0, "connections": 0, "reconnects": 0,
-                                          "timeouts": 0}
+                                          "timeouts": 0, "max_inflight": 0}
         assert ({k: v for k, v in report.items() if k != "timings_seconds"}
                 == {k: v for k, v in fresh_report.items() if k != "timings_seconds"})
 

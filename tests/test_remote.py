@@ -7,6 +7,7 @@ import base64
 import dataclasses
 import json
 import logging
+import sys
 import threading
 import time
 import urllib.error
@@ -156,17 +157,24 @@ class TestConnectionReuse:
             assert endpoint.request({"i": i}) == {"ok": True}
         assert server.accepted == 1
         assert endpoint.counts() == {"requests": 50, "connections": 1, "reconnects": 0,
-                                     "timeouts": 0}
+                                     "timeouts": 0, "max_inflight": 1}
 
     def test_concurrent_requests_open_at_most_one_connection_per_worker(self, serve):
         server = serve(json_answer({"ok": True}, delay=0.02))
         endpoint = JsonEndpoint(f"{server.url}/api", timeout=5)
-        with thread_pool("request") as pool:
-            answers = list(pool.map(lambda i: endpoint.request(params={"i": i}), range(36)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost count update
+        try:
+            with thread_pool("request") as pool:
+                answers = list(pool.map(lambda i: endpoint.request(params={"i": i}), range(36)))
+        finally:
+            sys.setswitchinterval(interval)
         assert answers == [{"ok": True}] * 36
         assert 1 < server.accepted <= MAX_CONCURRENT_REQUESTS
-        assert endpoint.counts()["connections"] == server.accepted
-        assert len(server.requests) == endpoint.counts()["requests"] == 36
+        counts = endpoint.counts()
+        assert counts["connections"] == server.accepted
+        assert len(server.requests) == counts["requests"] == 36
+        assert 1 < counts["max_inflight"] <= MAX_CONCURRENT_REQUESTS
 
     def test_connection_closed_while_idle_is_replaced_once(self, serve):
         server = serve(json_answer({"ok": True}), close_after_reply=True)
@@ -176,7 +184,7 @@ class TestConnectionReuse:
         assert endpoint.request({"n": 2}) == {"ok": True}
         assert server.accepted == 2 and len(server.requests) == 2
         assert endpoint.counts() == {"requests": 2, "connections": 2, "reconnects": 1,
-                                     "timeouts": 0}
+                                     "timeouts": 0, "max_inflight": 1}
 
     def test_a_new_connection_that_drops_is_not_retried(self, serve):
         def hang_up(method, path, body):
@@ -269,7 +277,8 @@ class TestHttpJsonConnector:
         assert [headers["Authorization"] for *_, headers in server.requests] == [
             "Bearer secret"] * 3
         assert connector.endpoint.counts() == {"requests": 3, "connections": 1,
-                                               "reconnects": 0, "timeouts": 0}
+                                               "reconnects": 0, "timeouts": 0,
+                                               "max_inflight": 1}
 
 
 class TestHttpPageFetcher:
@@ -310,6 +319,14 @@ class TestHttpPageFetcher:
             HttpPageFetcher(timeout=5).fetch(f"{server.url}/old")
         assert "Connection refused" not in str(err.value)  # no ftp connection was tried
         assert len(server.requests) == 1
+        if isinstance(err.value, urllib.error.HTTPError):  # a refused redirect
+            assert err.value.fp.closed
+
+    def test_an_error_status_closes_its_response(self, serve):
+        server = serve(lambda method, path, _: (404, {}, b"gone"))
+        with pytest.raises(urllib.error.HTTPError) as err:
+            HttpPageFetcher(timeout=5).fetch(f"{server.url}/page")
+        assert err.value.code == 404 and err.value.fp.closed
 
 
 class TestProxies:
@@ -423,8 +440,9 @@ class TestPipelineOverHttp:
                                          ("connector", "llm", "retriever", "embedder")}
         assert http_report["remote"]["connector"] == zero
         for service, server in servers.items():
-            assert http_report["remote"][service] == {
-                "requests": len(server.requests), "connections": server.accepted,
-                "reconnects": 0, "timeouts": 0}
+            counts = dict(http_report["remote"][service])
+            assert 1 <= counts.pop("max_inflight") <= MAX_CONCURRENT_REQUESTS
+            assert counts == {"requests": len(server.requests), "connections": server.accepted,
+                              "reconnects": 0, "timeouts": 0}
         assert len(servers["embedder"].requests) == 22
         assert len(servers["retriever"].requests) == 51
