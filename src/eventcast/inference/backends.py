@@ -9,7 +9,8 @@ Inference keeps at most ``MAX_CONCURRENT_REQUESTS`` remote requests in
 flight: every LLM, retriever and embedder call runs on a ``thread_pool``
 worker. Each HTTP client sends through its own ``remote.JsonEndpoint``,
 which reuses an idle keep-alive connection or opens one more, so a client
-holds at most one connection per request in flight.
+holds at most one connection per request in flight, and opens at most
+``remote.MAX_OPENING_CONNECTIONS`` at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 # merges re-inferred concurrently) a run took 2.23 s at 6, 1.86 s at 8,
 # 1.60 s at 10 and 0.93 s at 24: the run waits on the cap, not on CPU. It
 # stays at 8 while the benchmark's peak_rss_mb counts the driver's memory,
-# which grows with each round a faster run fits into its 60 s, and while
-# its emulator's listen backlog of 5 stalls larger caps (ROADMAP item 4).
+# which grows with each round a faster run fits into its 60 s (ROADMAP
+# item 4).
 MAX_CONCURRENT_REQUESTS = 8
 
 

@@ -8,6 +8,13 @@ once the body has been read, unless the server said it would close it.
 So an endpoint holds at most one connection per caller in flight, and no
 connection is tied to a thread.
 
+A server queues the connections it has not yet accepted in a short listen
+backlog and drops the SYN of one more, which the client resends only
+after a second. So at most ``MAX_OPENING_CONNECTIONS`` connections to one
+address, across all endpoints, wait for their first status line; a
+request that finds no idle connection beyond that waits for one of them
+to answer, and then reuses it or opens the next.
+
 A server may close a connection while it sits idle. A request on a reused
 connection that fails before a status line arrives is therefore sent
 once more on a new connection.
@@ -40,6 +47,25 @@ COUNTS = ("requests", "connections", "reconnects", "timeouts", "max_inflight")
 # how a server's close of an idle keep-alive connection shows up on its
 # next request (http.client.RemoteDisconnected is a ConnectionResetError)
 STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
+
+# Python's socketserver listens with a backlog of 5, so it holds 6
+# connections it has not accepted yet. On 2 cores, a burst of 8 new
+# connections to it stalled about one remote_services benchmark round in
+# 15 for a second; with 4, none of 30 rounds stalled.
+MAX_OPENING_CONNECTIONS = 4
+
+
+class _Openings:
+    """The connections to one address that await their first status line,
+    and the idle stacks of the endpoints there, guarded by one condition."""
+
+    def __init__(self):
+        self.changed = threading.Condition()
+        self.pending = 0
+
+
+_openings: Dict[Tuple[str, int], _Openings] = {}
+_openings_lock = threading.Lock()
 
 
 class RemoteError(Exception):
@@ -79,7 +105,9 @@ class JsonEndpoint:
                 self._path = f"http://{parts.netloc}{self._path}"
                 self._headers.update(auth)
             self._address = (via.hostname, via.port or 80)
-        self._idle: list = []
+        with _openings_lock:
+            self._openings = _openings.setdefault(self._address, _Openings())
+        self._idle: list = []  # guarded by self._openings.changed
         self._counts = dict.fromkeys(COUNTS, 0)
         self._inflight = 0
         self._lock = threading.Lock()
@@ -129,7 +157,7 @@ class JsonEndpoint:
 
     def close(self) -> None:
         """Close the idle connections; a later request opens new ones."""
-        with self._lock:
+        with self._openings.changed:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
@@ -140,23 +168,17 @@ class JsonEndpoint:
 
     def _exchange(self, method: str, path: str, data: Optional[bytes],
                   headers: Dict[str, str]) -> Tuple[int, bytes]:
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
-        if not reused:
-            conn = self._connect()
-        try:
+        conn = self._checkout(reuse=True)
+        if conn is None:
+            conn, response = self._open_and_send(method, path, data, headers)
+        else:
             try:
-                conn.request(method, path, body=data, headers=headers)
-                response = conn.getresponse()
+                response = _send(conn, method, path, data, headers)
             except STALE_CONNECTION:
-                if not reused:
-                    raise
-                conn.close()
                 self._count("reconnects")
-                conn = self._connect()
-                conn.request(method, path, body=data, headers=headers)
-                response = conn.getresponse()
+                self._checkout(reuse=False)
+                conn, response = self._open_and_send(method, path, data, headers)
+        try:
             raw = response.read()
         except BaseException:
             conn.close()
@@ -164,9 +186,35 @@ class JsonEndpoint:
         if response.will_close:
             conn.close()
         else:
-            with self._lock:
+            with self._openings.changed:
                 self._idle.append(conn)
+                self._openings.changed.notify_all()
         return response.status, raw
+
+    def _checkout(self, reuse: bool) -> Optional[http.client.HTTPConnection]:
+        """An idle connection when ``reuse`` and one is there; otherwise None,
+        once this request may open a connection, which it must then do
+        through ``_open_and_send``."""
+        openings = self._openings
+        with openings.changed:
+            while not (reuse and self._idle) and openings.pending >= MAX_OPENING_CONNECTIONS:
+                openings.changed.wait()
+            if reuse and self._idle:
+                return self._idle.pop()
+            openings.pending += 1
+            return None
+
+    def _open_and_send(self, method: str, path: str, data: Optional[bytes],
+                       headers: Dict[str, str]):
+        """Send on a new connection; returns it with the response, whose
+        status line has arrived."""
+        try:
+            conn = self._connect()
+            return conn, _send(conn, method, path, data, headers)
+        finally:
+            with self._openings.changed:
+                self._openings.pending -= 1
+                self._openings.changed.notify_all()
 
     def _connect(self) -> http.client.HTTPConnection:
         host, port = self._address
@@ -185,6 +233,18 @@ class JsonEndpoint:
             raise
         self._count("connections")
         return conn
+
+
+def _send(conn: http.client.HTTPConnection, method: str, path: str, data: Optional[bytes],
+          headers: Dict[str, str]) -> http.client.HTTPResponse:
+    """Send one request and read the status line and headers of its
+    answer; ``conn`` is closed if either fails."""
+    try:
+        conn.request(method, path, body=data, headers=headers)
+        return conn.getresponse()
+    except BaseException:
+        conn.close()
+        raise
 
 
 def bearer_headers(token_env: Optional[str]) -> Dict[str, str]:

@@ -30,7 +30,7 @@ from eventcast.inference.backends import (
 from eventcast.inference.enrich import FixtureRetriever, HttpRetriever
 from eventcast.ingest import ConnectorError, HttpJsonConnector, HttpPageFetcher
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
-from eventcast.remote import COUNTS, JsonEndpoint, RemoteError
+from eventcast.remote import COUNTS, MAX_OPENING_CONNECTIONS, JsonEndpoint, RemoteError
 from eventcast.semantics import (
     EmbeddingError,
     HashingStubEmbedder,
@@ -64,6 +64,8 @@ class Loopback(ThreadingHTTPServer):
         self.close_after_reply = close_after_reply
         self.lock = threading.Lock()
         self.accepted = 0
+        self.unanswered = 0  # accepted connections with no reply sent yet
+        self.most_unanswered = 0
         self.requests = []  # (method, path, headers) in arrival order
 
     @property
@@ -74,6 +76,8 @@ class Loopback(ThreadingHTTPServer):
         accepted = super().get_request()
         with self.lock:
             self.accepted += 1
+            self.unanswered += 1
+            self.most_unanswered = max(self.most_unanswered, self.unanswered)
         return accepted
 
     def handle_error(self, request, client_address):
@@ -99,6 +103,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        if not getattr(self, "answered", False):
+            self.answered = True
+            with self.server.lock:
+                self.server.unanswered -= 1
         if self.server.close_after_reply:
             self.close_connection = True
 
@@ -175,6 +183,20 @@ class TestConnectionReuse:
         assert counts["connections"] == server.accepted
         assert len(server.requests) == counts["requests"] == 36
         assert 1 < counts["max_inflight"] <= MAX_CONCURRENT_REQUESTS
+
+    def test_new_connections_to_one_address_wait_for_first_answers(self, serve):
+        # a burst on two endpoints of one server: more new connections at
+        # once would overflow a short listen backlog
+        server = serve(json_answer({"ok": True}, delay=0.05))
+        endpoints = [JsonEndpoint(f"{server.url}/a", timeout=5),
+                     JsonEndpoint(f"{server.url}/b", timeout=5)]
+        with thread_pool("request") as pool:
+            answers = list(pool.map(lambda i: endpoints[i % 2].request(params={"i": i}),
+                                    range(32)))
+        assert answers == [{"ok": True}] * 32
+        assert server.most_unanswered <= MAX_OPENING_CONNECTIONS < MAX_CONCURRENT_REQUESTS
+        opened = sum(e.counts()["connections"] for e in endpoints)
+        assert opened == server.accepted <= 2 * MAX_CONCURRENT_REQUESTS
 
     def test_connection_closed_while_idle_is_replaced_once(self, serve):
         server = serve(json_answer({"ok": True}), close_after_reply=True)
