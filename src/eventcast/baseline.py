@@ -9,6 +9,7 @@ and maximal above-threshold runs become spike records.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from collections import defaultdict
@@ -251,6 +252,14 @@ def spike_frequency(spikes: Sequence[SpikeRecord], z_bins: Sequence[float]) -> D
 
 TRAFFIC_CSV_HEADER = ["timestamp_utc", "network_id", "bits_per_second"]
 CSV_WRITE_CHUNK = 1024  # samples formatted at once: the writer's buffers stay this small
+CSV_READ_BLOCK = 1 << 18  # bytes of whole lines parsed at once; the reader's temporaries
+# take about 8x this, and parse speed is flat from 128 KiB to 1 MiB
+_HEADER_LINE = ",".join(TRAFFIC_CSV_HEADER).encode()
+_STAMP_SHAPE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP_SHAPE == ord("0")
+_FIELD_WIDTH = 64  # widest network id or value the block parser gathers
+_BLANK_BYTES = np.zeros(256, dtype=bool)  # what str.strip drops, and the gathers' zero padding
+_BLANK_BYTES[[0] + [b for b in range(128) if chr(b).isspace()]] = True
 
 
 def write_traffic_csv(path, series_list: Sequence[TrafficSeries]) -> None:
@@ -274,35 +283,35 @@ def read_traffic_csv(path) -> Dict[str, TrafficSeries]:
     Each network's rows are sorted by time and must then have a uniform step
     of a whole number of seconds; an empty bits_per_second field marks a
     missing sample. Malformed input raises ConfigError naming the line or network.
-    """
-    one_us = timedelta(microseconds=1)
-    parsed: Dict[str, int] = {}  # timestamp text -> epoch microseconds
-    columns: Dict[str, Tuple[array, array]] = defaultdict(lambda: (array("q"), array("d")))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAFFIC_CSV_HEADER:
-            raise ConfigError(
-                f"traffic CSV header must be {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
-            )
-        for row in filter(None, reader):  # skips blank lines
-            try:
-                stamp_text, network_id, raw = row
-                stamp = parsed.get(stamp_text)
-                if stamp is None:
-                    stamp = parsed[stamp_text] = (utc_from_iso(stamp_text) - EPOCH) // one_us
-                value = float(raw) if raw.strip() else math.nan
-            except ValueError as exc:
-                raise ConfigError(f"traffic CSV line {reader.line_num}: {exc}") from None
-            stamps, values = columns[network_id]
-            stamps.append(stamp)
-            values.append(value)
 
+    The file is parsed CSV_READ_BLOCK bytes at a time with numpy. From the first
+    block that ``_parse_block`` declines, the per-row ``csv`` loop reads the rest.
+    """
+    parts: Dict[str, list] = {}  # network id -> [(epoch microseconds, values)] in file order
+    with open(path, "rb") as fh:
+        header = fh.readline(len(_HEADER_LINE) + 2)
+        if header.removesuffix(b"\n").removesuffix(b"\r") != _HEADER_LINE:
+            fh.seek(0)
+            _read_rows(fh, 0, parts)  # the per-row loop checks the header
+        else:
+            offset, lines = len(header), 1
+            for block in _whole_lines(fh):
+                networks = _parse_block(block)
+                if networks is None:
+                    fh.seek(offset)
+                    _read_rows(fh, lines, parts)
+                    break
+                for network_id, stamps, values in networks:
+                    parts.setdefault(network_id, []).append((stamps, values))
+                offset += len(block)
+                lines += block.count(b"\n")
+
+    one_us = timedelta(microseconds=1)
     out = {}
-    for network_id, (stamps, values) in columns.items():
+    for network_id, chunks in parts.items():
+        stamps = np.concatenate([s for s, _ in chunks])
         if len(stamps) < 2:
             raise ConfigError(f"network {network_id}: need at least 2 samples")
-        stamps = np.frombuffer(stamps, dtype=np.int64)
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
         steps = np.diff(stamps)
@@ -322,6 +331,140 @@ def read_traffic_csv(path) -> Dict[str, TrafficSeries]:
             network_id=network_id,
             start=EPOCH + int(stamps[0]) * one_us,
             step_seconds=step_seconds,
-            values=np.frombuffer(values, dtype=np.float64)[order],
+            values=np.concatenate([v for _, v in chunks])[order],
         )
     return out
+
+
+def _whole_lines(fh):
+    """The file in blocks of whole lines, read CSV_READ_BLOCK bytes at a time.
+
+    A read without a line end ends the blocks with one that does not end a line.
+    """
+    tail = b""
+    while data := fh.read(CSV_READ_BLOCK):
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            yield tail + data
+            return
+        yield tail + data[:cut]
+        tail = data[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _parse_block(block: bytes):
+    """``(network_id, epoch microseconds, values)`` per network of a block of whole lines.
+
+    Networks come in order of first appearance, each with its rows in file
+    order. Returns None when the block does not end a line (it holds a line
+    longer than CSV_READ_BLOCK), or when a line needs the per-row loop: a
+    quote, a NUL, a CR that does not end a line, a non-blank row without
+    exactly two commas, a timestamp not in the writer's
+    ``YYYY-MM-DDTHH:MM:SSZ`` shape (year 0000 included), an empty network
+    id, a field wider than _FIELD_WIDTH bytes, or a field that does not
+    cast or that the loop would reject.
+    """
+    if not block.endswith(b"\n") or b'"' in block or b"\0" in block:
+        return None
+    buf = np.frombuffer(block + bytes(_FIELD_WIDTH), dtype=np.uint8)  # padded for the gathers
+    ends = np.flatnonzero(buf == ord("\n"))
+    cr = np.flatnonzero(buf == ord("\r"))
+    if (buf[cr + 1] != ord("\n")).any():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= buf[ends - 1] == ord("\r")
+    rows = np.flatnonzero(ends > starts)  # blank lines are skipped
+    if not rows.size:
+        return []
+    starts, ends = starts[rows], ends[rows]
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    if (np.searchsorted(commas, ends) - first != 2).any():
+        return None
+    stamp_end, id_end = commas[first], commas[first + 1]
+    if (stamp_end - starts != len(_STAMP_SHAPE)).any() or (id_end - stamp_end < 2).any():
+        return None
+    stamp = _fixed_width(buf, starts, stamp_end)
+    digits = stamp[:, _STAMP_DIGITS] - ord("0")  # uint8: other bytes wrap past 9
+    if ((digits > 9).any() or (stamp[:, ~_STAMP_DIGITS] != _STAMP_SHAPE[~_STAMP_DIGITS]).any()
+            or not digits[:, :4].any(axis=1).all()):  # numpy accepts year 0, fromisoformat not
+        return None
+    raw = _fixed_width(buf, id_end + 1, ends)
+    ids = _fixed_width(buf, stamp_end + 1, id_end)
+    if raw is None or ids is None:
+        return None
+    blank = _BLANK_BYTES[raw[:, 0]]  # empty, or whitespace only
+    maybe = np.flatnonzero(blank)
+    blank[maybe] = _BLANK_BYTES[raw[maybe]].all(axis=1)
+    values = np.full(len(rows), math.nan)
+    try:
+        stamps = stamp[:, :19].view("S19")[:, 0].astype("datetime64[us]").astype(np.int64)
+        if not blank.all():
+            values[~blank] = raw[~blank].view(f"S{raw.shape[1]}")[:, 0].astype(np.float64)
+        run_starts = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
+        names = [block[lo:hi].decode("utf-8") for lo, hi in
+                 zip((stamp_end[run_starts] + 1).tolist(), id_end[run_starts].tolist())]
+    except ValueError:
+        return None
+    if ((values < 0) | np.isinf(values)).any():
+        return None
+
+    index: Dict[str, int] = {}
+    codes = [index.setdefault(name, len(index)) for name in names]
+    if len(index) == 1:
+        return [(names[0], stamps, values)]
+    code = np.repeat(codes, np.diff(np.append(run_starts, len(rows))))
+    order = np.argsort(code, kind="stable")
+    bounds = np.cumsum(np.bincount(code))[:-1]
+    return list(zip(index, np.split(stamps[order], bounds), np.split(values[order], bounds)))
+
+
+def _fixed_width(buf, starts, ends):
+    """``buf[starts[i]:ends[i]]`` as rows of a zero-padded uint8 matrix; None past _FIELD_WIDTH."""
+    widths = ends - starts
+    width = max(int(widths.max()), 1)  # an empty field is one byte of padding
+    if width > _FIELD_WIDTH:
+        return None
+    fields = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    if widths.min() < width:
+        fields[np.arange(width) >= widths[:, None]] = 0
+    return fields
+
+
+def _read_rows(fh, lines_before: int, parts: Dict[str, list]) -> None:
+    """Parse the rest of binary ``fh`` row by row with the ``csv`` module into ``parts``; close it.
+
+    ``lines_before`` lines precede the file position; at 0 the header comes first.
+    """
+    one_us = timedelta(microseconds=1)
+    parsed: Dict[str, int] = {}  # timestamp text -> epoch microseconds
+    columns: Dict[str, Tuple[array, array]] = defaultdict(lambda: (array("q"), array("d")))
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        reader = csv.reader(text)
+        if not lines_before:
+            header = next(reader, None)
+            if header != TRAFFIC_CSV_HEADER:
+                raise ConfigError(
+                    f"traffic CSV header must be {','.join(TRAFFIC_CSV_HEADER)}, got {header}"
+                )
+        for row in filter(None, reader):  # skips blank lines
+            try:
+                stamp_text, network_id, raw = row
+                if not network_id:
+                    raise ValueError("empty network_id")
+                stamp = parsed.get(stamp_text)
+                if stamp is None:
+                    stamp = parsed[stamp_text] = (utc_from_iso(stamp_text) - EPOCH) // one_us
+                value = float(raw) if raw.strip() else math.nan
+                if value < 0 or math.isinf(value):
+                    raise ValueError(f"bits_per_second {raw!r} must be finite and >= 0")
+            except ValueError as exc:
+                line = lines_before + reader.line_num
+                raise ConfigError(f"traffic CSV line {line}: {exc}") from None
+            stamps, values = columns[network_id]
+            stamps.append(stamp)
+            values.append(value)
+    for network_id, (stamps, values) in columns.items():
+        parts.setdefault(network_id, []).append(
+            (np.frombuffer(stamps, dtype=np.int64), np.frombuffer(values, dtype=np.float64)))

@@ -99,6 +99,17 @@ class TestDetectSpikes:
         assert err.startswith("traffic CSV line ") and err.count("\n") == 1
         assert not (tmp_path / "spikes.jsonl").exists()
 
+    def test_negative_value_exits_2_naming_the_line(self, tmp_path, capsys):
+        traffic = tmp_path / "traffic.csv"
+        traffic.write_text("timestamp_utc,network_id,bits_per_second\n"
+                           "2025-06-02T00:00:00Z,net-test,1.0\n"
+                           "2025-06-02T00:05:00Z,net-test,-2.0\n", encoding="utf-8")
+        code = main(["detect-spikes", "--traffic", str(traffic),
+                     "--out", str(tmp_path / "spikes.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "traffic CSV line 3: bits_per_second '-2.0' must be finite and >= 0\n")
+
 
 class TestIngest:
     def test_standalone(self, synth_dir, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The array traffic layer against the per-sample loops it replaced.
 
 Each ``oracle_*`` function below is the earlier implementation, which
-stepped a ``datetime`` through the series one sample at a time. They are
-kept here as references only; every comparison is exact.
+stepped a ``datetime`` through the series one sample at a time, or read
+the traffic CSV one ``csv`` row at a time. They are kept here as
+references only; every comparison is exact.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 import csv
 import math
 import random
+from array import array
+from collections import defaultdict
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
+from eventcast import baseline
 from eventcast.baseline import (
+    EPOCH,
     STD_EPS,
     ConfigError,
     UnpopulatedBinsError,
@@ -23,10 +28,11 @@ from eventcast.baseline import (
     fit_baseline,
     read_traffic_csv,
     write_traffic_csv,
+    _parse_block,
     zscore_series,
 )
 from eventcast.correlate import _peak_z_in_window
-from eventcast.model import utc_to_iso
+from eventcast.model import TrafficSeries, utc_from_iso, utc_to_iso
 
 from .conftest import MONDAY, make_series
 
@@ -102,6 +108,61 @@ def oracle_write_csv(path, series_list):
                 writer.writerow([utc_to_iso(ts), series.network_id,
                                  "" if math.isnan(v) else repr(v)])
                 ts = ts + step
+
+
+def oracle_read_csv(path):
+    """The per-row reader. It let a negative or infinite value, and an empty
+    network id, through to ``TrafficSeries``, which rejects them by sample index."""
+    one_us = timedelta(microseconds=1)
+    parsed = {}  # timestamp text -> epoch microseconds
+    columns = defaultdict(lambda: (array("q"), array("d")))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["timestamp_utc", "network_id", "bits_per_second"]:
+            raise ConfigError(
+                f"traffic CSV header must be timestamp_utc,network_id,bits_per_second, got {header}"
+            )
+        for row in filter(None, reader):  # skips blank lines
+            try:
+                stamp_text, network_id, raw = row
+                stamp = parsed.get(stamp_text)
+                if stamp is None:
+                    stamp = parsed[stamp_text] = (utc_from_iso(stamp_text) - EPOCH) // one_us
+                value = float(raw) if raw.strip() else math.nan
+            except ValueError as exc:
+                raise ConfigError(f"traffic CSV line {reader.line_num}: {exc}") from None
+            stamps, values = columns[network_id]
+            stamps.append(stamp)
+            values.append(value)
+
+    out = {}
+    for network_id, (stamps, values) in columns.items():
+        if len(stamps) < 2:
+            raise ConfigError(f"network {network_id}: need at least 2 samples")
+        stamps = np.frombuffer(stamps, dtype=np.int64)
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        steps = np.diff(stamps)
+        repeated = np.flatnonzero(steps == 0)
+        if repeated.size:
+            raise ConfigError(f"network {network_id}: duplicate timestamp "
+                              f"{utc_to_iso(EPOCH + int(stamps[repeated[0]]) * one_us)}")
+        uneven = np.flatnonzero(steps != steps[0])
+        if uneven.size:
+            raise ConfigError(f"network {network_id}: non-uniform step near "
+                              f"{utc_to_iso(EPOCH + int(stamps[uneven[0] + 1]) * one_us)}")
+        step_seconds, fraction = divmod(int(steps[0]), 1_000_000)
+        if fraction:
+            raise ConfigError(f"network {network_id}: step of {steps[0] / 1e6} s is not "
+                              "a whole number of seconds")
+        out[network_id] = TrafficSeries(
+            network_id=network_id,
+            start=EPOCH + int(stamps[0]) * one_us,
+            step_seconds=step_seconds,
+            values=np.frombuffer(values, dtype=np.float64)[order],
+        )
+    return out
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -290,4 +351,265 @@ def test_csv_rejects_unparsable_value(tmp_path):
     path = tmp_path / "traffic.csv"
     _write_rows(path, ["2025-06-02T00:00:00Z,net-a,1.0", "2025-06-02T00:05:00Z,net-a,fast"])
     with pytest.raises(ConfigError, match="line 3"):
+        read_traffic_csv(path)
+
+
+# -- the block parser against the per-row reader ----------------------------------------
+
+def assert_same_series(got, want):
+    assert list(got) == list(want)  # networks in order of first appearance
+    for network_id, series in want.items():
+        again = got[network_id]
+        assert (again.start, again.step_seconds) == (series.start, series.step_seconds)
+        np.testing.assert_array_equal(again.values, series.values)  # NaN equals NaN
+        assert not again.values.flags.writeable
+
+
+def writer_lines(series_list, tmp_path):
+    """The header and the rows that write_traffic_csv writes, each with its CRLF."""
+    write_traffic_csv(tmp_path / "writer.csv", series_list)
+    return (tmp_path / "writer.csv").read_bytes().decode("utf-8").splitlines(keepends=True)
+
+
+BLOCK_SERIES = [noisy_series(0.5, seed=20 + i, nan_share=0.05, network_id=f"net-{i}")
+                for i in range(3)]  # 3 x 1008 rows
+
+
+def _shuffled(lines, rng):
+    rows = lines[1:]
+    rng.shuffle(rows)
+    return lines[:1] + rows
+
+
+def _interleaved(lines, rng):
+    per_network = len(lines[1:]) // len(BLOCK_SERIES)
+    rows = [lines[1 + k * per_network:1 + (k + 1) * per_network] for k in range(len(BLOCK_SERIES))]
+    return lines[:1] + [row for group in zip(*rows) for row in group]
+
+
+def _line_ends_and_blank_lines(lines, rng):
+    out = []
+    for line in lines:
+        out.append(line.rstrip("\r\n") + rng.choice(["\n", "\r\n"]))
+        if rng.random() < 0.05:
+            out.append(rng.choice(["\n", "\r\n"]))
+    out[-1] = out[-1].rstrip("\r\n")  # no line end after the last row
+    return out
+
+
+VALUE_SPELLINGS = [" ", "\t", "  \t ", "1e5", "2.5E-3", "0.12345678901234567",
+                   "12345678901234567", "nan", "NaN", "1_0", " 12.5 ", "+3", "-0.0", "7."]
+
+
+def _value_spellings(lines, rng):
+    out = lines[:1]
+    for line in lines[1:]:
+        stamp, network_id, _ = line.rstrip("\r\n").split(",")
+        out.append(f"{stamp},{network_id},{rng.choice(VALUE_SPELLINGS)}\r\n")
+    return out
+
+
+def _timestamps_off_shape(lines, rng):
+    out = list(lines)
+    for i in range(len(out) // 2, len(out), 7):  # past the first blocks
+        stamp, rest = out[i].split(",", 1)
+        moved = utc_from_iso(stamp) + timedelta(hours=2)
+        out[i] = rng.choice([stamp[:-1] + ".000000Z", moved.strftime("%Y-%m-%dT%H:%M:%S+02:00")]
+                            ) + "," + rest
+    return out
+
+
+def _quoted_network_id(lines, rng):
+    return lines + [line.replace(",net-0,", ',"net, quoted",') for line in lines
+                    if ",net-0," in line]
+
+
+def _quoted_network_ids(lines, rng):
+    out = list(lines)
+    for i in range(len(out) // 2, len(out), 5):
+        stamp, network_id, value = out[i].rstrip("\r\n").split(",")
+        out[i] = f'{stamp},"{network_id}",{value}\r\n'
+    return out
+
+
+def _cr_line_ends(lines, rng):
+    return [line.rstrip("\r\n") + "\r" for line in lines]
+
+
+CSV_CASES = {
+    # name: (edit of the writer's lines, the least number of lines read before the
+    # per-row loop takes over, or None when the block parser reads every line)
+    "writer_output": (lambda lines, rng: lines, None),
+    "shuffled": (_shuffled, None),
+    "interleaved": (_interleaved, None),
+    "lf_crlf_and_blank_lines": (_line_ends_and_blank_lines, None),
+    "value_spellings": (_value_spellings, None),
+    "timestamps_with_microseconds_or_offsets": (_timestamps_off_shape, 1400),
+    "quoted_network_id_with_a_comma": (_quoted_network_id, 2900),
+    "quoted_network_ids": (_quoted_network_ids, 1400),
+    "cr_line_ends": (_cr_line_ends, 0),
+}
+
+
+@pytest.fixture
+def row_loop_starts(monkeypatch):
+    """The line counts after which the per-row loop took over, one per read."""
+    starts = []
+    read_rows = baseline._read_rows
+
+    def spy(fh, lines_before, parts):
+        starts.append(lines_before)
+        return read_rows(fh, lines_before, parts)
+
+    monkeypatch.setattr(baseline, "_read_rows", spy)
+    return starts
+
+
+@pytest.mark.parametrize("block_size", [97, 4096])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_reader_matches_per_row_oracle(name, block_size, tmp_path, monkeypatch,
+                                           row_loop_starts):
+    monkeypatch.setattr(baseline, "CSV_READ_BLOCK", block_size)
+    edit, block_lines = CSV_CASES[name]
+    path = tmp_path / "traffic.csv"
+    lines = edit(writer_lines(BLOCK_SERIES, tmp_path), random.Random(name))
+    path.write_bytes("".join(lines).encode())
+    assert path.stat().st_size >= 3 * block_size
+    assert_same_series(read_traffic_csv(path), oracle_read_csv(path))
+    if block_lines is None:
+        assert row_loop_starts == []
+    else:  # from the block holding the first line that needs it
+        [lines_before] = row_loop_starts
+        assert lines_before >= block_lines
+
+
+def test_csv_reader_matches_oracle_on_three_full_blocks(tmp_path, row_loop_starts):
+    path = tmp_path / "traffic.csv"
+    write_traffic_csv(path, [noisy_series(4, seed=40 + i, nan_share=0.02, network_id=f"net-{i}")
+                             for i in range(3)])
+    assert path.stat().st_size >= 3 * baseline.CSV_READ_BLOCK
+    assert_same_series(read_traffic_csv(path), oracle_read_csv(path))
+    assert row_loop_starts == []
+
+
+MALFORMED_ROWS = {
+    "missing_column": "2025-06-02T00:00:00Z,net-0",
+    "extra_column": "2025-06-02T00:00:00Z,net-0,1.0,2.0",
+    "month_13": "2025-13-02T00:00:00Z,net-0,1.0",
+    "day_out_of_month": "2025-02-29T00:00:00Z,net-0,1.0",
+    "year_0": "0000-01-01T00:00:00Z,net-0,1.0",
+    "naive_timestamp": "2025-06-02T00:00:00,net-0,1.0",
+    "not_a_timestamp": "yesterday,net-0,1.0",
+    "unparsable_value": "2025-06-02T00:00:00Z,net-0,fast",
+    "value_with_a_comma": '2025-06-02T00:00:00Z,net-0,"1,5"',
+    "nul_byte": "2025-06-02T00:00:00Z,net-0,1.0\0",
+    "lone_cr_in_network_id": "2025-06-02T00:00:00Z,net-0\rx,1.0",
+}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ROWS))
+def test_malformed_row_past_the_first_block_raises_the_oracle_error(kind, newline, tmp_path,
+                                                                       monkeypatch):
+    monkeypatch.setattr(baseline, "CSV_READ_BLOCK", 4096)
+    lines = [line.rstrip("\r\n") + newline for line in writer_lines(BLOCK_SERIES, tmp_path)]
+    bad_line = 1500  # 1-based line number
+    lines.insert(bad_line - 1, MALFORMED_ROWS[kind] + newline)
+    path = tmp_path / "traffic.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert sum(map(len, lines[:bad_line])) > 3 * 4096
+    with pytest.raises(Exception) as want:
+        oracle_read_csv(path)
+    with pytest.raises(want.type) as got:
+        read_traffic_csv(path)
+    assert str(got.value) == str(want.value)
+    if want.type is ConfigError:
+        assert str(got.value).startswith(f"traffic CSV line {bad_line}: ")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("2025-06-02T00:10:00Z,net-0,-2.0", "bits_per_second '-2.0' must be finite and >= 0"),
+    ("2025-06-02T00:10:00Z,net-0,inf", "bits_per_second 'inf' must be finite and >= 0"),
+    ("2025-06-02T00:10:00Z,net-0,-1e400", "bits_per_second '-1e400' must be finite and >= 0"),
+    ("2025-06-02T00:10:00Z,,1.0", "empty network_id"),
+])
+@pytest.mark.parametrize("bad_line", [3, 1500])
+def test_csv_rejects_negative_infinite_value_and_empty_network_by_line(row, message, bad_line,
+                                                                        tmp_path, monkeypatch):
+    monkeypatch.setattr(baseline, "CSV_READ_BLOCK", 4096)
+    lines = writer_lines(BLOCK_SERIES, tmp_path)
+    lines.insert(bad_line - 1, row + "\r\n")
+    path = tmp_path / "traffic.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    with pytest.raises(ConfigError) as err:
+        read_traffic_csv(path)
+    assert str(err.value) == f"traffic CSV line {bad_line}: {message}"
+
+
+# -- the casts the block parser relies on -----------------------------------------------
+
+CAST_SPELLINGS = VALUE_SPELLINGS + [
+    "1", ".5", "1e", "e5", ".", "+", "1.5.5", "1 5", "--1", "0x10", "1__0", "_1", "1_",
+    "4.9406564584124654e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+    "1e400", "1e-400", "-nan", "inf", "-Infinity", "infinit", "nan(1)", "1\x0b", "\x0c1",
+    "\x1c1", "1\x1f", " 1", "١", "", "\x1c",
+]
+
+
+def _float_or_error(text):
+    try:
+        return float(text)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("text", CAST_SPELLINGS)
+def test_bytes_to_float64_cast_agrees_with_float(text):
+    expected = _float_or_error(text)
+    try:
+        got = np.array([text.encode()], dtype=bytes).astype(np.float64)[0]
+    except ValueError:
+        return  # the per-row loop reads what the cast declines
+    assert expected is not ValueError
+    assert np.float64(expected).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("text", CAST_SPELLINGS)
+def test_block_parser_reads_a_value_as_the_row_loop_does(text):
+    parsed = _parse_block(f"2025-06-02T00:00:00Z,net-0,{text}\n".encode())
+    expected = math.nan if not text.strip() else _float_or_error(text)
+    if expected is ValueError or math.isinf(expected) or expected < 0:
+        assert parsed is None
+    elif parsed is not None:
+        [(_, _, values)] = parsed
+        assert np.float64(expected).tobytes() == values.tobytes() or (
+            math.isnan(expected) and math.isnan(values[0]))
+
+
+@pytest.mark.parametrize("stamp", [
+    "2025-06-02T00:00:00Z", "2024-02-29T23:59:59Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "2025-02-29T00:00:00Z", "2025-04-31T00:00:00Z", "2025-00-10T00:00:00Z", "2025-01-00T00:00:00Z",
+    "2025-06-02T24:00:00Z", "2025-06-02T23:60:00Z", "2025-06-02T23:59:60Z", "2025-06-02 00:00:00Z",
+    "2025-06-02T00:00:00z", "2025-06-02T00:00:00.5Z", "2025-06-02T00:00:00+00:00",
+    "20250602T000000Z", "2025-6-2T00:00:00Z", "+025-06-02T00:00:00Z", "2025-06-02T00:00:0 Z",
+])
+def test_block_parser_reads_a_timestamp_as_the_row_loop_does(stamp):
+    parsed = _parse_block(f"{stamp},net-0,1.0\n".encode())
+    try:
+        expected = (utc_from_iso(stamp) - EPOCH) // timedelta(microseconds=1)
+    except ValueError:
+        assert parsed is None
+        return
+    if parsed is not None:
+        [(_, stamps, _)] = parsed
+        assert stamps.tolist() == [expected]
+
+
+def test_year_zero_is_rejected_though_numpy_reads_it(tmp_path):
+    assert np.array([b"0000-01-01T00:00:00"]).astype("datetime64[s]")[0] == np.datetime64(
+        "0000-01-01T00:00:00")
+    assert _parse_block(b"0000-01-01T00:00:00Z,net-0,1.0\n") is None
+    path = tmp_path / "traffic.csv"
+    _write_rows(path, ["0001-01-01T00:00:00Z,net-0,1.0", "0000-01-01T00:00:00Z,net-0,1.0"])
+    with pytest.raises(ConfigError, match="^traffic CSV line 3: year 0 is out of range"):
         read_traffic_csv(path)
