@@ -64,8 +64,8 @@ def cmd_detect_spikes(args) -> int:
         std_floor_fraction=args.std_floor,
     )
     try:
-        spikes, z_by_network, _ = stage_detect_spikes(
-            config, JsonlStore(args.out, SpikeRecord, id_prefix="spk"))
+        with JsonlStore(args.out, SpikeRecord, id_prefix="spk") as store:
+            spikes, z_by_network, _ = stage_detect_spikes(config, store)
     except (SeriesTooShort, UnpopulatedBinsError, ConfigError) as exc:
         print(exc, file=sys.stderr)  # a malformed CSV, or no network could be scored
         return 2
@@ -87,8 +87,8 @@ def cmd_ingest(args) -> int:
         ),
         top_k_comments=args.top_k_comments,
     )
-    _, summary = stage_ingest(config, build_connector(config),
-                              JsonlStore(args.out, ContentRecord, id_field="record_id"))
+    with JsonlStore(args.out, ContentRecord, id_field="record_id") as store:
+        _, summary = stage_ingest(config, build_connector(config), store)
     print(f"{summary['records']} records written to {args.out} "
           f"({summary['posts_skipped_malformed']} malformed posts skipped)")
     return 0
@@ -106,11 +106,11 @@ def cmd_infer_events(args) -> int:
                  if args.retriever_fixtures else {"kind": "none"})
     config = PipelineConfig(default_timezone=args.default_timezone, llm=llm, retriever=retriever)
     out = Path(args.out)
-    _, summary = stage_infer(
-        config, JsonlStore(args.records, ContentRecord).load(),
-        build_llm(config), build_retriever(config),
-        EventStore(out), JsonlStore(out.parent / "runs.jsonl", InferenceRun, id_prefix="run"),
-    )
+    with EventStore(out) as events_store, \
+            JsonlStore(out.parent / "runs.jsonl", InferenceRun, id_prefix="run") as runs_store:
+        _, summary = stage_infer(config, JsonlStore(args.records, ContentRecord).load(),
+                                 build_llm(config), build_retriever(config),
+                                 events_store, runs_store)
     print(f"{summary['events']} events written to {args.out} "
           f"({summary['records_failed']} records failed)")
     return 0
@@ -124,9 +124,9 @@ def _announce_merge(merged, group_ids):
 def cmd_dedup(args) -> int:
     config = PipelineConfig(dedup_threshold=args.threshold,
                             embedder={"kind": "hash", "dim": args.dim})
-    store = EventStore(args.events)
-    *_, summary = stage_dedup(config, store.load_live(), build_embedder(config), store,
-                              on_merge=_announce_merge)
+    with EventStore(args.events) as store:
+        *_, summary = stage_dedup(config, store.load_live(), build_embedder(config), store,
+                                  on_merge=_announce_merge)
     print(f"{summary['duplicate_groups']} duplicate groups merged in {args.events}")
     return 0
 
@@ -134,9 +134,9 @@ def cmd_dedup(args) -> int:
 def cmd_cluster(args) -> int:
     config = PipelineConfig(levels=tuple(int(k) for k in args.levels.split(",")),
                             seed=args.seed, embedder={"kind": "hash", "dim": args.dim})
-    store = EventStore(args.events)
-    _, summary = stage_cluster(config, store.load_live(), build_embedder(config), store,
-                               args.out_models, {})
+    with EventStore(args.events) as store:
+        _, summary = stage_cluster(config, store.load_live(), build_embedder(config), store,
+                                   args.out_models, {})
     if not summary["events"]:
         print("no events to cluster", file=sys.stderr)
         return 2

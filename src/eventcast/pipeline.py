@@ -512,12 +512,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     other files it writes there, so a rerun into the same directory leaves
     the same artifacts as a fresh one. The report
     counts inputs/outputs per stage and includes coverage when ground-truth
-    labels are configured. All JSONL/CSV artifacts are byte-stable for a
-    fixed config and seed; only the report's timings vary between runs.
+    labels are configured, and the lines, bytes and fsyncs of each store.
+    Every store is synced at the end of each stage and closed at the end of
+    the run. All JSONL/CSV artifacts are byte-stable for a fixed config and
+    seed; only the report's timings vary between runs.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stores = fresh_stores(out_dir)
     for name in ("cluster_models.json", "matches.jsonl", "features.csv", "run_report.json"):
         (out_dir / name).unlink(missing_ok=True)
     for table in (out_dir / "reports").glob("*.csv"):
@@ -532,7 +533,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     def run_stage(name):
         start = time_mod.perf_counter()
         try:
-            yield
+            try:
+                yield
+            finally:
+                # what the stage stored is on disk once it returns or fails
+                for store in stores.values():
+                    store.sync()
         except Exception as exc:
             report["failures"].append({"stage": name, "error": str(exc)})
             report["status"] = f"failed at {name}"
@@ -540,35 +546,37 @@ def run_pipeline(config: PipelineConfig) -> dict:
         finally:
             timings[name] = round(time_mod.perf_counter() - start, 4)
 
-    try:
-        with run_stage("ingest"):
-            connector = build_connector(config)
-            records, stages["ingest"] = stage_ingest(config, connector, stores["records"])
-        with run_stage("infer"):
-            llm, retriever = build_llm(config), build_retriever(config)
-            events, stages["infer"] = stage_infer(config, records, llm, retriever,
-                                                  stores["events"], stores["runs"])
-        with run_stage("dedup"):
-            embedder = build_embedder(config)
-            events, embeddings, stages["dedup"] = stage_dedup(
-                config, events, embedder, stores["events"], stores["runs"],
-                llm=llm, retriever=retriever, records=records)
-        with run_stage("cluster"):
-            events, stages["cluster"] = stage_cluster(
-                config, events, embedder, stores["events"], out_dir / "cluster_models.json",
-                embeddings)
-        with run_stage("detect_spikes"):
-            spikes, z_by_network, stages["detect_spikes"] = stage_detect_spikes(
-                config, stores["spikes"])
-        with run_stage("correlate"):
-            matches, stages["correlate"] = stage_correlate(config, spikes, events,
-                                                           out_dir / "matches.jsonl")
-        with run_stage("report"):
-            stages["report"] = stage_report(config, spikes, events, matches, z_by_network,
-                                            out_dir)
-    except StageFailure:
-        pass
+    with fresh_stores(out_dir) as stores:
+        try:
+            with run_stage("ingest"):
+                connector = build_connector(config)
+                records, stages["ingest"] = stage_ingest(config, connector, stores["records"])
+            with run_stage("infer"):
+                llm, retriever = build_llm(config), build_retriever(config)
+                events, stages["infer"] = stage_infer(config, records, llm, retriever,
+                                                      stores["events"], stores["runs"])
+            with run_stage("dedup"):
+                embedder = build_embedder(config)
+                events, embeddings, stages["dedup"] = stage_dedup(
+                    config, events, embedder, stores["events"], stores["runs"],
+                    llm=llm, retriever=retriever, records=records)
+            with run_stage("cluster"):
+                events, stages["cluster"] = stage_cluster(
+                    config, events, embedder, stores["events"], out_dir / "cluster_models.json",
+                    embeddings)
+            with run_stage("detect_spikes"):
+                spikes, z_by_network, stages["detect_spikes"] = stage_detect_spikes(
+                    config, stores["spikes"])
+            with run_stage("correlate"):
+                matches, stages["correlate"] = stage_correlate(config, spikes, events,
+                                                               out_dir / "matches.jsonl")
+            with run_stage("report"):
+                stages["report"] = stage_report(config, spikes, events, matches, z_by_network,
+                                                out_dir)
+        except StageFailure:
+            pass
 
+    report["stores"] = {kind: dict(store.counts) for kind, store in stores.items()}
     report["remote"] = _remote_counts({"connector": connector, "llm": llm,
                                        "retriever": retriever, "embedder": embedder})
     report["timings_seconds"] = timings

@@ -404,7 +404,8 @@ class MultilevelClusterModels:
             "models": [m.to_dict() for m in self.models],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # one dumps call runs the C encoder; json.dump encodes chunk by chunk
+            fh.write(json.dumps(payload, sort_keys=True))
             fh.write("\n")
 
     @classmethod

@@ -1,17 +1,33 @@
 """Append-only newline-delimited JSON stores for domain records.
 
-One file per type (events.jsonl, records.jsonl, spikes.jsonl). Event
-merges append a tombstone plus a replacement line instead of rewriting,
-so the file remains a full audit trail; the live view folds the log.
-Stores are single-writer, multi-reader.
+One file per type (events.jsonl, records.jsonl, spikes.jsonl, runs.jsonl).
+Event merges append a tombstone plus a replacement line instead of
+rewriting, so the file remains a full audit trail; the live view folds the
+log. Stores are single-writer, multi-reader.
+
+Durability: a store opens its file once, on its first append, and keeps
+that append-mode handle until ``close``. Each ``append`` and each
+``apply_merge`` hands its whole payload (one line, or a merge's tombstones
+plus its survivor) to the OS in one unbuffered write before it returns,
+and does not fsync. ``sync`` fsyncs a store written since its last sync;
+``close`` syncs, then closes. ``run_pipeline`` syncs every store at the
+end of each stage, whether the stage returned or failed, so
+
+- after a stage returns, its lines are on disk;
+- after a crash mid-stage, each file holds a prefix of the sequential
+  order, made of whole lines only.
+
+A store that was appended to holds an open file: close it, or use it in a
+``with`` block.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from .model import (
     SCHEMA_VERSION,
@@ -31,11 +47,66 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
-class JsonlStore:
+class _AppendLog:
+    """The append handle of one store file, and its write, sync and close."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        # what went through this object: lines and bytes appended, fsyncs made
+        self.counts = {"lines": 0, "bytes": 0, "fsyncs": 0}
+        self._file = None
+        self._unsynced = False
+
+    def _write(self, lines: List[str]) -> None:
+        """Append whole lines to the file in one write to the OS."""
+        payload = "".join(line + "\n" for line in lines).encode("utf-8")
+        try:
+            if self._file is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(self.path, "ab", buffering=0)
+            written = self._file.write(payload)
+        except OSError as exc:
+            raise StoreIOError(f"append to {self.path} failed: {exc}") from exc
+        self._unsynced = True
+        if written != len(payload):
+            raise StoreIOError(f"append to {self.path} failed: wrote {written} of "
+                               f"{len(payload)} bytes")
+        self.counts["lines"] += len(lines)
+        self.counts["bytes"] += written
+
+    def sync(self) -> None:
+        """Fsync the file if this store wrote to it since its last sync."""
+        if not self._unsynced:
+            return
+        try:
+            os.fsync(self._file.fileno())
+        except OSError as exc:
+            raise StoreIOError(f"fsync of {self.path} failed: {exc}") from exc
+        self._unsynced = False
+        self.counts["fsyncs"] += 1
+
+    def close(self) -> None:
+        """Sync, then close the handle; a later append opens the file again."""
+        if self._file is None:
+            return
+        try:
+            self.sync()
+        finally:
+            self._file.close()
+            self._file, self._unsynced = None, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class JsonlStore(_AppendLog):
     """Generic append-only JSONL store for one record type."""
 
     def __init__(self, path, record_type, id_field: Optional[str] = None, id_prefix: str = "rec"):
-        self.path = Path(path)
+        super().__init__(path)
         self.record_type = record_type
         self.id_field = id_field
         self.id_prefix = id_prefix
@@ -48,7 +119,7 @@ class JsonlStore:
             return sum(1 for line in fh if line.strip())
 
     def append(self, record) -> str:
-        """Validate and durably append one record; returns its stored id."""
+        """Validate and append one record; returns its stored id."""
         if not isinstance(record, self.record_type):
             raise InvariantError(self.record_type.__name__, "type",
                                  f"expected {self.record_type.__name__}, got {type(record).__name__}")
@@ -60,14 +131,7 @@ class JsonlStore:
             # types without a natural id get a stable sequential one
             stored_id = f"{self.id_prefix}-{self._count + 1:06d}"
             d["stored_id"] = stored_id
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_dump(d) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            raise StoreIOError(f"append to {self.path} failed: {exc}") from exc
+        self._write([_dump(d)])
         self._count += 1
         return stored_id
 
@@ -87,7 +151,7 @@ class JsonlStore:
         return self._count
 
 
-class EventStore:
+class EventStore(_AppendLog):
     """Event log with tombstone-plus-replacement merge semantics.
 
     ``append`` adds a new event version; ``apply_merge`` atomically
@@ -98,18 +162,15 @@ class EventStore:
 
     TOMBSTONE = "tombstone"
 
-    def __init__(self, path):
-        self.path = Path(path)
-
     def append(self, event: EventAbstraction) -> str:
         if not isinstance(event, EventAbstraction):
             raise InvariantError("EventAbstraction", "type",
                                  f"expected EventAbstraction, got {type(event).__name__}")
-        self._write_lines([_dump(event.to_dict())])
+        self._write([_dump(event.to_dict())])
         return event.event_id
 
     def apply_merge(self, survivor: EventAbstraction, absorbed_ids) -> None:
-        """All-or-nothing append of tombstones + the merged survivor."""
+        """Append the tombstones and the merged survivor in one write."""
         lines = [
             _dump({
                 "schema_version": SCHEMA_VERSION,
@@ -120,18 +181,7 @@ class EventStore:
             for eid in absorbed_ids
         ]
         lines.append(_dump(survivor.to_dict()))
-        self._write_lines(lines)
-
-    def _write_lines(self, lines) -> None:
-        payload = "".join(line + "\n" for line in lines)
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(payload)  # single write keeps the merge atomic
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            raise StoreIOError(f"append to {self.path} failed: {exc}") from exc
+        self._write(lines)  # one write: a crash never keeps a tombstone alone
 
     def raw_entries(self) -> Iterator[dict]:
         if not self.path.exists():
@@ -162,8 +212,10 @@ class EventStore:
         ]
 
 
+@contextmanager
 def fresh_stores(directory):
-    """Standard store set under one directory, starting empty.
+    """Standard store set under one directory, starting empty, as a dict
+    by kind; every store in it is closed when the block exits.
 
     Store files an earlier run left there are removed first, so a rerun
     into the same directory writes what a run into a new one does.
@@ -172,9 +224,13 @@ def fresh_stores(directory):
     paths = {kind: directory / f"{kind}.jsonl" for kind in ("events", "records", "spikes", "runs")}
     for path in paths.values():
         path.unlink(missing_ok=True)
-    return {
+    stores = {
         "events": EventStore(paths["events"]),
         "records": JsonlStore(paths["records"], ContentRecord, id_field="record_id"),
         "spikes": JsonlStore(paths["spikes"], SpikeRecord, id_prefix="spk"),
         "runs": JsonlStore(paths["runs"], InferenceRun, id_prefix="run"),
     }
+    with ExitStack() as stack:
+        for store in stores.values():
+            stack.enter_context(store)
+        yield stores

@@ -203,12 +203,13 @@ class TestUnembeddableEvent:
     @pytest.fixture
     def events_path(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        store = EventStore(path)
-        store.append(make_event(event_id="evt-a", description="Continental Cup semi-final"))
-        store.append(make_event(event_id="evt-b", date="2025-07-03",
-                                description="Arena rock concert"))
-        # no [a-z0-9] token: the stub embedder returns a zero vector
-        store.append(make_event(event_id="evt-jp", date="2025-07-04", description="東京ドーム公演"))
+        with EventStore(path) as store:
+            store.append(make_event(event_id="evt-a", description="Continental Cup semi-final"))
+            store.append(make_event(event_id="evt-b", date="2025-07-03",
+                                    description="Arena rock concert"))
+            # no [a-z0-9] token: the stub embedder returns a zero vector
+            store.append(make_event(event_id="evt-jp", date="2025-07-04",
+                                    description="東京ドーム公演"))
         return path
 
     def test_cluster_leaves_it_unsigned(self, events_path, tmp_path):

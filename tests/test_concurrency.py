@@ -179,16 +179,16 @@ class SlowBackend:
 class TestRequestPool:
     def test_cap_holds_and_four_events_beat_half_the_sequential_time(self, scenario_config,
                                                                       tmp_path):
-        stores = fresh_stores(tmp_path)
-        records, _ = stage_ingest(scenario_config, build_connector(scenario_config),
-                                  stores["records"])
-        records = records[:4]
-        llm = SlowBackend(StubLlmBackend.from_file(scenario_config.llm["fixtures_path"]))
-        retriever = FixtureRetriever.from_file(scenario_config.retriever["fixtures_path"])
-        start = time.perf_counter()
-        events, summary = stage_infer(scenario_config, records, llm, retriever,
-                                      stores["events"], stores["runs"])
-        elapsed = time.perf_counter() - start
+        with fresh_stores(tmp_path) as stores:
+            records, _ = stage_ingest(scenario_config, build_connector(scenario_config),
+                                      stores["records"])
+            records = records[:4]
+            llm = SlowBackend(StubLlmBackend.from_file(scenario_config.llm["fixtures_path"]))
+            retriever = FixtureRetriever.from_file(scenario_config.retriever["fixtures_path"])
+            start = time.perf_counter()
+            events, summary = stage_infer(scenario_config, records, llm, retriever,
+                                          stores["events"], stores["runs"])
+            elapsed = time.perf_counter() - start
         assert len(events) == 4 and summary["records_failed"] == 0
         assert 1 < llm.max_inflight <= backends.MAX_CONCURRENT_REQUESTS
         # one call after another would take at least calls x latency
@@ -240,20 +240,20 @@ class TestMergePool:
         monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", self.CAP)
         stub = StubLlmBackend.from_file(merges_config.llm["fixtures_path"])
         retriever = FixtureRetriever.from_file(merges_config.retriever["fixtures_path"])
-        stores = fresh_stores(tmp_path)
-        records, _ = stage_ingest(merges_config, build_connector(merges_config),
-                                  stores["records"])
-        events, _ = stage_infer(merges_config, records, stub, retriever,
-                                stores["events"], stores["runs"])
+        with fresh_stores(tmp_path) as stores:
+            records, _ = stage_ingest(merges_config, build_connector(merges_config),
+                                      stores["records"])
+            events, _ = stage_infer(merges_config, records, stub, retriever,
+                                    stores["events"], stores["runs"])
 
         def dedup(out_dir):
             llm = SlowBackend(stub)
-            stores = fresh_stores(out_dir)
-            start = time.perf_counter()
-            survivors, _, summary = stage_dedup(
-                merges_config, events, build_embedder(merges_config), stores["events"],
-                stores["runs"], llm=llm, retriever=retriever, records=records)
-            return survivors, summary, llm, time.perf_counter() - start
+            with fresh_stores(out_dir) as stores:
+                start = time.perf_counter()
+                survivors, _, summary = stage_dedup(
+                    merges_config, events, build_embedder(merges_config), stores["events"],
+                    stores["runs"], llm=llm, retriever=retriever, records=records)
+                return survivors, summary, llm, time.perf_counter() - start
 
         survivors, summary, llm, elapsed = dedup(tmp_path / "concurrent")
         assert summary["duplicate_groups"] == 6

@@ -87,6 +87,18 @@ class TestFullRun:
         assert "tv & film" in text
         assert "sports" in text
 
+    def test_store_counts(self, default_run):
+        _, config, report = default_run
+        out = Path(config.out_dir)
+        # one fsync per stage that wrote to the store: events in infer, dedup
+        # and cluster, runs in infer and dedup
+        fsyncs = {"events": 3, "runs": 2, "records": 1, "spikes": 1}
+        assert {kind: c["fsyncs"] for kind, c in report["stores"].items()} == fsyncs
+        for kind, counts in report["stores"].items():
+            data = (out / f"{kind}.jsonl").read_bytes()
+            assert counts["bytes"] == len(data)
+            assert counts["lines"] == data.count(b"\n") == len(data.splitlines())
+
     def test_feature_rows_per_event_network(self, default_run):
         base, config, _ = default_run
         lines = (Path(config.out_dir) / "features.csv").read_text().strip().splitlines()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 from datetime import timedelta
@@ -289,15 +290,15 @@ class TestMergeEvents:
             merge_events([a, b])
 
     def test_store_merge_and_fixpoint(self, tmp_path):
-        store = EventStore(tmp_path / "events.jsonl")
         early, late = self.make_pair()
-        store.append(early)
-        store.append(late)
         embeddings = {"evt-early": embedding_for("evt-early", 0),
                       "evt-late": embedding_for("evt-late", 5)}
         groups = find_duplicates([early, late], embeddings)
         assert len(groups) == 1
-        merged = merge_events([early, late], store=store)
+        with EventStore(tmp_path / "events.jsonl") as store:
+            store.append(early)
+            store.append(late)
+            merged = merge_events([early, late], store=store)
         live = store.load_live()
         assert [e.event_id for e in live] == ["evt-early"]
         # event count decreased by group size - 1
@@ -363,6 +364,20 @@ class TestMultilevel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cluster_multilevel({}, levels=[2], seed=0)
+
+    def test_saved_bytes_are_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(6)
+        _, fitted = cluster_multilevel(self.make_embeddings(rng.normal(size=(40, 8))),
+                                       levels=[4, 16], seed=5)
+        awkward = ClusterModel(level_k=2, centroids=((-0.0, 5e-324), (1e16, 0.1 + 0.2)),
+                               seed=7, inertia=1 / 3)
+        for models in (fitted, MultilevelClusterModels(levels=(2,), models=(awkward,))):
+            path = tmp_path / "models.json"
+            models.save(path)
+            dumped = io.StringIO()
+            json.dump({"levels": list(models.levels),
+                       "models": [m.to_dict() for m in models.models]}, dumped, sort_keys=True)
+            assert path.read_bytes() == (dumped.getvalue() + "\n").encode("utf-8")
 
 
 def test_cluster_model_round_trip():
