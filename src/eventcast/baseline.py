@@ -15,6 +15,8 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -45,31 +47,76 @@ class UnpopulatedBinsError(ValueError):
         super().__init__(f"baseline has no data for slots: {preview}{more}")
 
 
-@dataclass(frozen=True)
+def _bins_per_day(bin_minutes: int) -> int:
+    if bin_minutes < 1 or MINUTES_PER_DAY % bin_minutes != 0:
+        raise ConfigError(f"bin_minutes={bin_minutes} must be a positive divisor of 1440")
+    return MINUTES_PER_DAY // bin_minutes
+
+
+@dataclass(frozen=True, eq=False)  # identity equality: compare the arrays with numpy
 class BaselineModel:
-    """Per-(weekday, bin-of-day) trailing-window mean/std of throughput."""
+    """Per-(weekday, bin-of-day) trailing-window mean/std of throughput.
+
+    ``mean``, ``std`` and ``count`` are read-only arrays indexed by slot
+    ``weekday * bins_per_day + bin``; a count of 0 marks an unpopulated slot.
+    """
 
     network_id: str
     bin_minutes: int
     window_weeks: int
-    stats: Mapping  # (weekday, bin) -> (mean, std, count)
+    mean: np.ndarray
+    std: np.ndarray
+    count: np.ndarray
 
     def __post_init__(self):
-        if MINUTES_PER_DAY % self.bin_minutes != 0:
-            raise ConfigError(f"bin_minutes={self.bin_minutes} must divide 1440")
-        for slot, (mean, std, count) in self.stats.items():
-            if count < 1 or std < 0:
-                raise ConfigError(f"slot {slot}: count must be >= 1 and std >= 0")
+        slots = 7 * _bins_per_day(self.bin_minutes)
+        for name, dtype in (("mean", np.float64), ("std", np.float64), ("count", np.int64)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            if values.shape != (slots,):
+                raise ConfigError(f"{name} must hold {slots} slots, got shape {values.shape}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        bad = np.flatnonzero((self.count < 0) | ((self.count > 0) & (self.std < 0)))
+        if bad.size:
+            raise ConfigError(f"slot {self._slot(bad[0])}: count must be >= 0, "
+                              "and std >= 0 where it is not")
+
+    @classmethod
+    def from_stats(cls, network_id: str, bin_minutes: int, window_weeks: int,
+                   stats: Mapping) -> "BaselineModel":
+        """The model of ``{(weekday, bin): (mean, std, count)}``; absent slots are unpopulated."""
+        bins = _bins_per_day(bin_minutes)
+        mean, std, count = np.zeros(7 * bins), np.zeros(7 * bins), np.zeros(7 * bins, np.int64)
+        for (weekday, bin_), (m, s, c) in stats.items():
+            if not (0 <= weekday < 7 and 0 <= bin_ < bins):
+                raise ConfigError(f"slot {(weekday, bin_)}: outside a week of {bins} bins a day")
+            if c < 1 or s < 0:
+                raise ConfigError(f"slot {(weekday, bin_)}: count must be >= 1 and std >= 0")
+            slot = weekday * bins + bin_
+            mean[slot], std[slot], count[slot] = m, s, c
+        return cls(network_id, bin_minutes, window_weeks, mean, std, count)
 
     def bins_per_day(self) -> int:
         return MINUTES_PER_DAY // self.bin_minutes
+
+    def _slot(self, slot) -> Tuple[int, int]:
+        return divmod(int(slot), self.bins_per_day())
+
+    @cached_property
+    def stats(self) -> Mapping[Tuple[int, int], Tuple[float, float, int]]:
+        """Read-only ``{(weekday, bin): (mean, std, count)}`` of the populated slots, in slot
+        order, built from the arrays on first use."""
+        slots = np.flatnonzero(self.count)
+        return MappingProxyType({self._slot(s): (m, sd, c) for s, m, sd, c in zip(
+            slots.tolist(), self.mean[slots].tolist(), self.std[slots].tolist(),
+            self.count[slots].tolist())})
 
     def to_dict(self) -> dict:
         return {
             "network_id": self.network_id,
             "bin_minutes": self.bin_minutes,
             "window_weeks": self.window_weeks,
-            "stats": {f"{w},{b}": [m, s, c] for (w, b), (m, s, c) in sorted(self.stats.items())},
+            "stats": {f"{w},{b}": [m, s, c] for (w, b), (m, s, c) in self.stats.items()},
         }
 
     @classmethod
@@ -78,7 +125,7 @@ class BaselineModel:
         for key, (m, s, c) in d["stats"].items():
             w, b = key.split(",")
             stats[(int(w), int(b))] = (float(m), float(s), int(c))
-        return cls(d["network_id"], d["bin_minutes"], d["window_weeks"], stats)
+        return cls.from_stats(d["network_id"], d["bin_minutes"], d["window_weeks"], stats)
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: compare the arrays with numpy
@@ -129,8 +176,7 @@ def fit_baseline(
     """
     if window_weeks < 1:
         raise ConfigError("window_weeks must be >= 1")
-    if bin_minutes < 1 or MINUTES_PER_DAY % bin_minutes != 0:
-        raise ConfigError(f"bin_minutes={bin_minutes} must be a positive divisor of 1440")
+    slots = 7 * _bins_per_day(bin_minutes)
     span_seconds = len(series) * series.step_seconds
     if span_seconds < 7 * 86400:
         raise InsufficientHistoryError(
@@ -151,14 +197,14 @@ def fit_baseline(
 
     # the rows of a (slots, count) matrix reduce exactly like each pool on its own
     slot_ids, first, counts = np.unique(slot, return_index=True, return_counts=True)
-    stats = {}
-    for count in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == count)
-        pools = values[first[rows, None] + np.arange(count)]
-        for s, m, sd in zip(slot_ids[rows].tolist(), pools.mean(axis=1).tolist(),
-                            pools.std(axis=1).tolist()):
-            stats[divmod(s, MINUTES_PER_DAY // bin_minutes)] = (m, sd, count)
-    return BaselineModel(series.network_id, bin_minutes, window_weeks, stats)
+    mean, std, count = np.zeros(slots), np.zeros(slots), np.zeros(slots, np.int64)
+    count[slot_ids] = counts
+    for n in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == n)
+        pools = values[first[rows, None] + np.arange(n)]
+        mean[slot_ids[rows]] = pools.mean(axis=1)
+        std[slot_ids[rows]] = pools.std(axis=1)
+    return BaselineModel(series.network_id, bin_minutes, window_weeks, mean, std, count)
 
 
 def zscore_series(
@@ -173,15 +219,12 @@ def zscore_series(
     if std_floor_fraction < 0:
         raise ConfigError("std_floor_fraction must be >= 0")
     _day, slot = _sample_slots(series.start, series.step_seconds, len(series), model.bin_minutes)
-    slot_ids, slot_of_sample = np.unique(slot, return_inverse=True)
-    slots = [divmod(s, model.bins_per_day()) for s in slot_ids.tolist()]
-    missing = [s for s in slots if s not in model.stats]
-    if missing:
-        raise UnpopulatedBinsError(missing)
+    unpopulated = model.count[slot] == 0
+    if unpopulated.any():
+        raise UnpopulatedBinsError([model._slot(s) for s in np.unique(slot[unpopulated]).tolist()])
 
-    mean, std, _count = np.array([model.stats[s] for s in slots]).T
-    denom = np.maximum(np.maximum(std, std_floor_fraction * mean), STD_EPS)
-    z = (series.values - mean[slot_of_sample]) / denom[slot_of_sample]
+    denom = np.maximum(np.maximum(model.std, std_floor_fraction * model.mean), STD_EPS)
+    z = (series.values - model.mean[slot]) / denom[slot]
     return ZSeries(series.network_id, series.start, series.step_seconds, z)
 
 
@@ -296,15 +339,16 @@ def read_traffic_csv(path) -> Dict[str, TrafficSeries]:
         else:
             offset, lines = len(header), 1
             for block in _whole_lines(fh):
-                networks = _parse_block(block)
-                if networks is None:
+                parsed = _parse_block(block)
+                if parsed is None:
                     fh.seek(offset)
                     _read_rows(fh, lines, parts)
                     break
+                block_lines, networks = parsed
                 for network_id, stamps, values in networks:
                     parts.setdefault(network_id, []).append((stamps, values))
                 offset += len(block)
-                lines += block.count(b"\n")
+                lines += block_lines
 
     one_us = timedelta(microseconds=1)
     out = {}
@@ -354,7 +398,8 @@ def _whole_lines(fh):
 
 
 def _parse_block(block: bytes):
-    """``(network_id, epoch microseconds, values)`` per network of a block of whole lines.
+    """The line count of a block of whole lines, and ``(network_id, epoch microseconds,
+    values)`` per network in it.
 
     Networks come in order of first appearance, each with its rows in file
     order. Returns None when the block does not end a line (it holds a line
@@ -374,9 +419,10 @@ def _parse_block(block: bytes):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends -= buf[ends - 1] == ord("\r")
+    lines = len(ends)
     rows = np.flatnonzero(ends > starts)  # blank lines are skipped
     if not rows.size:
-        return []
+        return lines, []
     starts, ends = starts[rows], ends[rows]
     commas = np.flatnonzero(buf == ord(","))
     first = np.searchsorted(commas, starts)
@@ -399,6 +445,10 @@ def _parse_block(block: bytes):
     blank[maybe] = _BLANK_BYTES[raw[maybe]].all(axis=1)
     values = np.full(len(rows), math.nan)
     try:
+        # the cast leaves out the "Z": on a stamp with a timezone numpy warns that it has
+        # "no explicit representation of timezones", and with numpy 2.4.6 that cast of
+        # 1,000 or more such stamps at once crashes the process (SIGSEGV, exit 139);
+        # 100 and 500 stamps do not
         stamps = stamp[:, :19].view("S19")[:, 0].astype("datetime64[us]").astype(np.int64)
         if not blank.all():
             values[~blank] = raw[~blank].view(f"S{raw.shape[1]}")[:, 0].astype(np.float64)
@@ -413,11 +463,12 @@ def _parse_block(block: bytes):
     index: Dict[str, int] = {}
     codes = [index.setdefault(name, len(index)) for name in names]
     if len(index) == 1:
-        return [(names[0], stamps, values)]
+        return lines, [(names[0], stamps, values)]
     code = np.repeat(codes, np.diff(np.append(run_starts, len(rows))))
     order = np.argsort(code, kind="stable")
     bounds = np.cumsum(np.bincount(code))[:-1]
-    return list(zip(index, np.split(stamps[order], bounds), np.split(values[order], bounds)))
+    return lines, list(zip(index, np.split(stamps[order], bounds),
+                           np.split(values[order], bounds)))
 
 
 def _fixed_width(buf, starts, ends):

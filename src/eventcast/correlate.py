@@ -219,19 +219,6 @@ EVENT_FEATURE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One (event, network) training/forecast row."""
-
-    network_id: str
-    window_start: object
-    window_end: object
-    event_id: str
-    features: dict  # EVENT_FEATURE_COLUMNS -> value (region-resolved relevances)
-    signature: Optional[tuple]  # cluster id per level, or None
-    target_peak_z: Optional[float]
-
-
 def feature_header(levels: Sequence[int]) -> List[str]:
     return (
         ["network_id", "window_start", "window_end", "event_id"]
@@ -239,6 +226,11 @@ def feature_header(levels: Sequence[int]) -> List[str]:
         + [f"sig_k{k}" for k in levels]
         + ["target_peak_z"]
     )
+
+
+# the row cells of the two relevances, the only event cells that resolve per network
+_CONTINENT_CELL = feature_header(()).index("continent_relevance")
+_NATION_CELL = feature_header(()).index("nation_relevance")
 
 
 def _fmt(value) -> str:
@@ -293,38 +285,33 @@ def export_features(
             sig = list(signature.cluster_ids)
         win_start = event.event_time_utc - half
         win_end = event.event_time_utc + half
+        features = {
+            "event_date": event.date,
+            "event_time": event.time,
+            "event_time_utc": utc_to_iso(event.event_time_utc),
+            "description": event.description,
+            "category": event.category,
+            "entities": "|".join(event.entities) if event.entities is not None else None,
+            "platforms": "|".join(event.platforms) if event.platforms is not None else None,
+            "data_per_user_mb": event.data_per_user_mb,
+            "audience_size": event.audience_size,
+            "continent_relevance": None,  # resolved per network below
+            "nation_relevance": None,
+            "spike_duration_hours": event.spike_duration_hours,
+            "likelihood": event.likelihood,
+        }
+        shared = ([utc_to_iso(win_start), utc_to_iso(win_end), event.event_id]
+                  + [_fmt(features[c]) for c in EVENT_FEATURE_COLUMNS]
+                  + [_fmt(s) for s in sig])
         for network_id in networks:
             region = network_regions.get(network_id, {})
-            continent = region.get("continent", "")
-            country = region.get("country", "")
-            cont_rel = None
+            row = [network_id, *shared,
+                   _fmt(_peak_z_in_window(z_by_network.get(network_id), win_start, win_end))]
             if event.continent_relevance is not None:
-                cont_rel = event.continent_relevance.get(continent, 0.0)
-            nat_rel = None
+                row[_CONTINENT_CELL] = _fmt(
+                    event.continent_relevance.get(region.get("continent", ""), 0.0))
             if event.nation_relevance is not None:
-                nat_rel = event.nation_relevance.get(country, 0.0)
-            features = {
-                "event_date": event.date,
-                "event_time": event.time,
-                "event_time_utc": utc_to_iso(event.event_time_utc),
-                "description": event.description,
-                "category": event.category,
-                "entities": "|".join(event.entities) if event.entities is not None else None,
-                "platforms": "|".join(event.platforms) if event.platforms is not None else None,
-                "data_per_user_mb": event.data_per_user_mb,
-                "audience_size": event.audience_size,
-                "continent_relevance": cont_rel,
-                "nation_relevance": nat_rel,
-                "spike_duration_hours": event.spike_duration_hours,
-                "likelihood": event.likelihood,
-            }
-            target = _peak_z_in_window(z_by_network.get(network_id), win_start, win_end)
-            row = (
-                [network_id, utc_to_iso(win_start), utc_to_iso(win_end), event.event_id]
-                + [_fmt(features[c]) for c in EVENT_FEATURE_COLUMNS]
-                + [_fmt(s) for s in sig]
-                + [_fmt(target)]
-            )
+                row[_NATION_CELL] = _fmt(event.nation_relevance.get(region.get("country", ""), 0.0))
             rows.append(row)
     return header, rows
 

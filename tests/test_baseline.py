@@ -177,8 +177,8 @@ class TestFitBaseline:
 
 def constant_model(mean=100.0, std=10.0, bin_minutes=5, network_id="net-test"):
     stats = {(w, b): (mean, std, 4) for w in range(7) for b in range(1440 // bin_minutes)}
-    return BaselineModel(network_id=network_id, bin_minutes=bin_minutes,
-                         window_weeks=4, stats=stats)
+    return BaselineModel.from_stats(network_id=network_id, bin_minutes=bin_minutes,
+                                    window_weeks=4, stats=stats)
 
 
 class TestZscore:
@@ -204,7 +204,7 @@ class TestZscore:
 
     def test_unpopulated_bins_listed(self):
         stats = {(0, b): (100.0, 10.0, 4) for b in range(288)}  # Mondays only
-        model = BaselineModel("net-test", 5, 4, stats)
+        model = BaselineModel.from_stats("net-test", 5, 4, stats)
         tuesday = MONDAY + timedelta(days=1)
         with pytest.raises(UnpopulatedBinsError) as err:
             zscore_series(model, make_series([1.0, 2.0], start=tuesday))

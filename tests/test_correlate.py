@@ -9,12 +9,15 @@ import pytest
 from eventcast.baseline import ZSeries
 from eventcast.correlate import (
     EVENT_FEATURE_COLUMNS,
+    _fmt,
+    _peak_z_in_window,
     coverage,
     export_features,
+    feature_header,
     lead_time_cdf,
     match_spikes_to_events,
 )
-from eventcast.model import SemanticSignature, SpikeRecord
+from eventcast.model import SemanticSignature, SpikeRecord, utc_to_iso
 from eventcast.reports import render_table
 
 from .conftest import MONDAY, make_event
@@ -295,3 +298,104 @@ class TestExportFeatures:
         h1, r1 = export_features([event], {}, REGIONS, levels=(10,))
         h2, r2 = export_features([event], {}, REGIONS, levels=(10,))
         assert h1 == h2 and r1 == r2
+
+
+# -- export_features against the per-(event, network) loop it replaced ---------------
+
+def oracle_export_features(events, z_by_network, network_regions, levels, window_days=3,
+                           networks=None):
+    """The earlier export, which built and formatted every cell of every (event, network) row."""
+    if networks is None:
+        networks = sorted(set(z_by_network) | set(network_regions))
+    half = timedelta(days=window_days) / 2
+    rows = []
+    for event in sorted(events, key=lambda e: (e.date, e.event_id)):
+        if event.event_time_utc is None:
+            continue
+        signature = event.semantic_signature
+        if signature is None or signature.levels != tuple(int(k) for k in levels):
+            sig = [None] * len(levels)
+        else:
+            sig = list(signature.cluster_ids)
+        win_start = event.event_time_utc - half
+        win_end = event.event_time_utc + half
+        for network_id in networks:
+            region = network_regions.get(network_id, {})
+            continent = region.get("continent", "")
+            country = region.get("country", "")
+            cont_rel = None
+            if event.continent_relevance is not None:
+                cont_rel = event.continent_relevance.get(continent, 0.0)
+            nat_rel = None
+            if event.nation_relevance is not None:
+                nat_rel = event.nation_relevance.get(country, 0.0)
+            features = {
+                "event_date": event.date,
+                "event_time": event.time,
+                "event_time_utc": utc_to_iso(event.event_time_utc),
+                "description": event.description,
+                "category": event.category,
+                "entities": "|".join(event.entities) if event.entities is not None else None,
+                "platforms": "|".join(event.platforms) if event.platforms is not None else None,
+                "data_per_user_mb": event.data_per_user_mb,
+                "audience_size": event.audience_size,
+                "continent_relevance": cont_rel,
+                "nation_relevance": nat_rel,
+                "spike_duration_hours": event.spike_duration_hours,
+                "likelihood": event.likelihood,
+            }
+            target = _peak_z_in_window(z_by_network.get(network_id), win_start, win_end)
+            rows.append(
+                [network_id, utc_to_iso(win_start), utc_to_iso(win_end), event.event_id]
+                + [_fmt(features[c]) for c in EVENT_FEATURE_COLUMNS]
+                + [_fmt(s) for s in sig]
+                + [_fmt(target)]
+            )
+    return feature_header(levels), rows
+
+
+def oracle_export_events():
+    base = datetime(2025, 7, 2, 19, 0, tzinfo=UTC)
+    events = [full_event("evt-full", base)]
+    unsigned = full_event("evt-unsigned", base + timedelta(hours=5))
+    object.__setattr__(unsigned, "semantic_signature", None)
+    events.append(unsigned)
+    other_levels = full_event("evt-other-levels", base - timedelta(days=1))
+    object.__setattr__(other_levels, "semantic_signature",
+                       SemanticSignature(levels=(10, 1000), cluster_ids=(3, 7)))
+    events.append(other_levels)
+    events.append(make_event("evt-bare", date="2025-07-03", time="08:30"))  # relevances None
+    no_nation = full_event("evt-no-nation", base + timedelta(days=2, minutes=7))
+    object.__setattr__(no_nation, "nation_relevance", None)
+    events.append(no_nation)
+    events.append(make_event("evt-untimed", date="2025-07-02", time="unknown",
+                             continent_relevance={"EU": 0.5}))
+    return events
+
+
+@pytest.mark.parametrize("networks", [None, ["net-unknown", "net-z-only", "net-eu-1"]])
+@pytest.mark.parametrize("levels", [(10, 100), (10,)])
+def test_export_matches_per_pair_oracle(levels, networks):
+    rng = random.Random(5)
+    start = datetime(2025, 6, 30, 0, 2, tzinfo=UTC)
+    z = {
+        "net-eu-1": ZSeries("net-eu-1", start, 300,
+                            [rng.gauss(0.0, 2.0) if rng.random() > 0.1 else float("nan")
+                             for _ in range(12 * 24 * 7)]),
+        "net-z-only": ZSeries("net-z-only", start + timedelta(days=3), 60,
+                              [rng.gauss(1.0, 1.0) for _ in range(60 * 24)]),
+    }
+    regions = {"net-eu-1": {"country": "DE", "continent": "EU"},
+               "net-us": {"country": "US", "continent": "NA"},  # no z-series
+               "net-no-country": {"continent": "EU"}}
+    events = oracle_export_events()
+    for window_days in (1, 3):
+        got = export_features(events, z, regions, levels=levels, window_days=window_days,
+                              networks=networks)
+        want = oracle_export_features(events, z, regions, levels, window_days=window_days,
+                                      networks=networks)
+        assert got == want
+    header, rows = got
+    assert len(rows) == (len(events) - 1) * len(networks or ["net-eu-1", "net-z-only", "net-us",
+                                                           "net-no-country"])
+    assert {r[3] for r in rows} == {e.event_id for e in events} - {"evt-untimed"}

@@ -371,6 +371,9 @@ def local_llm():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/complete"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpBackend:
@@ -379,6 +382,7 @@ class TestHttpBackend:
                                   temperature=0.3, max_output_tokens=128)
         backend = HttpLlmBackend(config)
         completion = backend.send("what category?", salt="a1r0")
+        backend.endpoint.close()
         assert completion == "Sports"
         body = _LlmHandler.last_body
         assert body["model"] == "test-model"
@@ -393,6 +397,7 @@ class TestHttpBackend:
         backend.send("p", salt="a1r0")
         seed0 = _LlmHandler.last_body["seed"]
         backend.send("p", salt="a1r1")
+        backend.endpoint.close()
         assert _LlmHandler.last_body["seed"] != seed0
 
     def test_config_invariants(self):
@@ -416,9 +421,13 @@ class TestHttpRetriever:
                 pass
 
         server = HTTPServer(("127.0.0.1", 0), _RetrHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        retriever = HttpRetriever(f"http://127.0.0.1:{server.server_address[1]}/search")
         try:
-            retriever = HttpRetriever(f"http://127.0.0.1:{server.server_address[1]}/search")
             assert retriever.search("query", 3) == [("T", "body", "u")]
         finally:
+            retriever.endpoint.close()
             server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)

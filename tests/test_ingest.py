@@ -234,6 +234,9 @@ def local_api():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/posts"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpConnector:
@@ -242,6 +245,7 @@ class TestHttpConnector:
         _PostsHandler.fail_times = 0
         connector = HttpJsonConnector(local_api, requests_per_minute=6000)
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
+        connector.endpoint.close()
         assert [p.post_id for p in kept] == ["h1"]
 
     def test_retries_with_backoff_then_succeeds(self, local_api):
@@ -250,6 +254,7 @@ class TestHttpConnector:
         connector = HttpJsonConnector(local_api, requests_per_minute=6000,
                                       max_retries=3, backoff_seconds=0.01)
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
+        connector.endpoint.close()
         assert [p.post_id for p in kept] == ["h2"]
 
     def test_exhausted_retries_raise_retryable(self, local_api):
@@ -258,6 +263,7 @@ class TestHttpConnector:
                                       max_retries=2, backoff_seconds=0.01)
         with pytest.raises(ConnectorError) as err:
             list(connector.list_raw())
+        connector.endpoint.close()
         assert err.value.retryable
         _PostsHandler.fail_times = 0
 

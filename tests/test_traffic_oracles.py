@@ -9,6 +9,7 @@ references only; every comparison is exact.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 from array import array
@@ -22,6 +23,7 @@ from eventcast import baseline
 from eventcast.baseline import (
     EPOCH,
     STD_EPS,
+    BaselineModel,
     ConfigError,
     UnpopulatedBinsError,
     ZSeries,
@@ -197,15 +199,21 @@ FIT_CASES = {
     "window_of_one_week": (noisy_series(3, seed=8, nan_share=0.3), 1, 30),
 }
 
+GAPPY_CASES = {
+    # name: (series, window_weeks, bin_minutes); each leaves some slots unpopulated
+    "no_thursday": (noisy_series(2, seed=9, nan_days=(3, 10)), 2, 5),
+    "sparse_samples": (noisy_series(3, seed=13, nan_share=0.9), 2, 5),
+    "sparse_samples_bins_of_20": (noisy_series(5, step_seconds=600, seed=14, nan_share=0.93),
+                                  3, 20),
+    "nine_weeks_gappy_window_4": (noisy_series(9, seed=15, nan_share=0.5,
+                                               nan_days=(5, 12, 19, 26, 33, 40, 47, 54, 61)),
+                                  4, 10),
+}
+
+ALL_FIT_CASES = {**FIT_CASES, **GAPPY_CASES}
+
 
 # -- fit_baseline -----------------------------------------------------------------
-
-@pytest.mark.parametrize("name", sorted(FIT_CASES))
-def test_fit_matches_per_sample_oracle(name):
-    series, window_weeks, bin_minutes = FIT_CASES[name]
-    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
-    assert model.stats == oracle_fit_stats(series, window_weeks, bin_minutes)
-
 
 def test_fit_skips_days_without_data():
     # six weeks, window 4: the NaN Mondays of weeks 5 and 6 leave weeks 1-4 in the
@@ -217,6 +225,77 @@ def test_fit_skips_days_without_data():
     model = fit_baseline(make_series(values), window_weeks=4, bin_minutes=5)
     assert model.stats[(0, 0)] == (2.5, float(np.std([1.0, 2.0, 3.0, 4.0])), 4)
     assert model.stats[(1, 0)] == (4.5, float(np.std([3.0, 4.0, 5.0, 6.0])), 4)
+
+
+def oracle_arrays(stats, bin_minutes):
+    """The oracle's stats as slot-indexed (mean, std, count) arrays; 0 where unpopulated."""
+    bins = 1440 // bin_minutes
+    mean, std, count = np.zeros(7 * bins), np.zeros(7 * bins), np.zeros(7 * bins, np.int64)
+    for (weekday, bin_), (m, sd, c) in stats.items():
+        slot = weekday * bins + bin_
+        mean[slot], std[slot], count[slot] = m, sd, c
+    return mean, std, count
+
+
+def assert_same_arrays(model, mean, std, count):
+    for got, want in ((model.mean, mean), (model.std, std), (model.count, count)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIT_CASES))
+def test_fit_matches_per_sample_oracle(name):
+    series, window_weeks, bin_minutes = ALL_FIT_CASES[name]
+    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
+    stats = oracle_fit_stats(series, window_weeks, bin_minutes)
+    assert model.stats == stats
+    assert_same_arrays(model, *oracle_arrays(stats, bin_minutes))
+    assert (name in GAPPY_CASES) == (len(stats) < 7 * 1440 // bin_minutes)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIT_CASES))
+def test_dict_round_trip_gives_identical_arrays(name):
+    series, window_weeks, bin_minutes = ALL_FIT_CASES[name]
+    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
+    again = BaselineModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert (again.network_id, again.bin_minutes, again.window_weeks) == (
+        model.network_id, model.bin_minutes, model.window_weeks)
+    assert_same_arrays(again, model.mean, model.std, model.count)
+    assert again.stats == model.stats
+
+
+def test_hand_built_model_names_the_first_bad_slot():
+    good = (100.0, 10.0, 4)
+    for bad, message in [((100.0, 10.0, 0), "count must be >= 1 and std >= 0"),
+                         ((100.0, -1.0, 4), "count must be >= 1 and std >= 0"),
+                         ((100.0, 10.0, -2), "count must be >= 1 and std >= 0")]:
+        stats = {(3, 5): good, (2, 7): bad, (0, 1): bad, (6, 287): good}
+        with pytest.raises(ConfigError, match=rf"^slot \(2, 7\): {message}$"):
+            BaselineModel.from_stats("net-test", 5, 4, stats)
+    for slot in [(7, 0), (0, 288), (-1, 3), (2, -1)]:
+        with pytest.raises(ConfigError, match=rf"^slot \({slot[0]}, {slot[1]}\): outside"):
+            BaselineModel.from_stats("net-test", 5, 4, {(0, 0): good, slot: good})
+    with pytest.raises(ConfigError, match="bin_minutes=7 must be a positive divisor of 1440"):
+        BaselineModel.from_stats("net-test", 7, 4, {(0, 0): good})
+
+
+def test_array_model_names_the_first_bad_slot():
+    mean, std, count = np.full(2016, 5.0), np.ones(2016), np.full(2016, 4)
+    std[[7, 300]] = -1.0
+    count[7] = 0  # an unpopulated slot's std is not checked
+    with pytest.raises(ConfigError, match=r"^slot \(1, 12\): count must be >= 0"):
+        BaselineModel("net-test", 5, 4, mean, std, count)
+    count[2015] = -1
+    std[300] = 1.0
+    with pytest.raises(ConfigError, match=r"^slot \(6, 287\): count must be >= 0"):
+        BaselineModel("net-test", 5, 4, mean, std, count)
+    with pytest.raises(ConfigError, match=r"^mean must hold 2016 slots, got shape \(288,\)"):
+        BaselineModel("net-test", 5, 4, mean[:288], std, count)
+    count[2015] = 0
+    model = BaselineModel("net-test", 5, 4, mean, std, count)
+    count[0] = 0  # the model holds its own read-only copies
+    assert model.count[0] == 4 and not model.count.flags.writeable
+    assert len(model.stats) == 2014 and (0, 7) not in model.stats
 
 
 # -- zscore_series ----------------------------------------------------------------
@@ -240,6 +319,18 @@ def test_zscore_lists_the_same_missing_slots_as_the_oracle():
         zscore_series(model, scored)
     assert err.value.missing == oracle_zscore(model, scored, 0.05)
     assert len(err.value.missing) == 288
+
+
+@pytest.mark.parametrize("name", sorted(GAPPY_CASES))
+def test_zscore_lists_the_oracle_missing_slots_of_gappy_fits(name):
+    series, window_weeks, bin_minutes = GAPPY_CASES[name]
+    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
+    for offset in (timedelta(0), timedelta(days=3, seconds=90)):
+        scored = noisy_series(1, seed=16, start=series.start + offset)
+        with pytest.raises(UnpopulatedBinsError) as err:
+            zscore_series(model, scored)
+        assert err.value.missing == oracle_zscore(model, scored, 0.05)
+        assert err.value.missing == sorted(err.value.missing)
 
 
 # -- window peak --------------------------------------------------------------------
@@ -581,7 +672,7 @@ def test_block_parser_reads_a_value_as_the_row_loop_does(text):
     if expected is ValueError or math.isinf(expected) or expected < 0:
         assert parsed is None
     elif parsed is not None:
-        [(_, _, values)] = parsed
+        [(_, _, values)] = parsed[1]
         assert np.float64(expected).tobytes() == values.tobytes() or (
             math.isnan(expected) and math.isnan(values[0]))
 
@@ -601,7 +692,7 @@ def test_block_parser_reads_a_timestamp_as_the_row_loop_does(stamp):
         assert parsed is None
         return
     if parsed is not None:
-        [(_, stamps, _)] = parsed
+        [(_, stamps, _)] = parsed[1]
         assert stamps.tolist() == [expected]
 
 
