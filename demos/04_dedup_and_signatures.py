@@ -12,11 +12,10 @@ from eventcast import (
     EventAbstraction,
     cluster_multilevel,
     cosine_similarity,
-    embed_event,
     find_duplicates,
     merge_events,
 )
-from eventcast.semantics import HashingStubEmbedder
+from eventcast.semantics import HashingStubEmbedder, embed_events
 
 UTC = timezone.utc
 FIRST_POST = datetime(2025, 6, 28, 10, 0, tzinfo=UTC)
@@ -42,13 +41,14 @@ events = [
 ]
 
 embedder = HashingStubEmbedder(dim=64)
-embeddings = {e.event_id: embed_event(e, embedder) for e in events}
+embeddings = embed_events(events, embedder)  # one (n, D) matrix, a row per event
+rows = embeddings.rows()
 
 print("pairwise cosine similarities (same date):")
 for i in range(len(events)):
     for j in range(i + 1, len(events)):
         a, b = events[i], events[j]
-        sim = cosine_similarity(embeddings[a.event_id].vector, embeddings[b.event_id].vector)
+        sim = cosine_similarity(rows[a.event_id], rows[b.event_id])
         print(f"  {a.event_id} ~ {b.event_id}: {sim:6.3f}")
 
 groups = find_duplicates(events, embeddings, sim_threshold=0.90)
@@ -74,7 +74,7 @@ for e in survivors.values():
         e = replace(e, category="sports", entities=("velmora hawks", "drassen united"))
     final.append(e)
 
-final_embeddings = {e.event_id: embed_event(e, embedder) for e in final}
+final_embeddings = embed_events(final, embedder)
 signatures, models = cluster_multilevel(final_embeddings, levels=[10, 100, 1000], seed=7)
 
 print(f"\nsemantic signatures over levels {list(models.levels)} "
@@ -83,7 +83,7 @@ for event_id in sorted(signatures):
     sig = signatures[event_id]
     print(f"  {event_id}: {list(sig.cluster_ids)}")
 
-probe = final_embeddings[sorted(final_embeddings)[0]]
-assigned = models.assign(probe.vector)
+probe_id = min(final_embeddings.event_ids)
+assigned = models.assign(final_embeddings.rows()[probe_id])
 print(f"\nnearest-centroid assignment reproduces a known signature: "
       f"{list(assigned.cluster_ids)}")

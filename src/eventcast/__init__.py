@@ -45,7 +45,7 @@ from .model import (
 from .pipeline import PipelineConfig, run_pipeline
 from .semantics import (
     ClusterModel,
-    EventEmbedding,
+    EventEmbeddings,
     cluster_multilevel,
     cosine_similarity,
     embed_event,
@@ -64,7 +64,7 @@ __all__ = [
     "ContentRecord",
     "EventAbstraction",
     "EventDraft",
-    "EventEmbedding",
+    "EventEmbeddings",
     "EventStore",
     "FAILED",
     "FilterConfig",

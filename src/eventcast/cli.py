@@ -32,6 +32,7 @@ from .pipeline import (
     stage_ingest,
 )
 from .reports import coverage_table, lead_time_table, render_table, spike_frequency_table
+from .semantics import EventEmbeddings
 from .store import EventStore, JsonlStore
 from .synth import BUILTIN_SCENARIOS, Scenario
 
@@ -136,7 +137,7 @@ def cmd_cluster(args) -> int:
                             seed=args.seed, embedder={"kind": "hash", "dim": args.dim})
     with EventStore(args.events) as store:
         _, summary = stage_cluster(config, store.load_live(), build_embedder(config), store,
-                                   args.out_models, {})
+                                   args.out_models, EventEmbeddings.stack({}))
     if not summary["events"]:
         print("no events to cluster", file=sys.stderr)
         return 2

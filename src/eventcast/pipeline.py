@@ -57,6 +57,7 @@ from .inference.enrich import FixtureRetriever, HttpRetriever, enrich_event
 from .inference.extract import ExtractionError, build_event, extract_events
 from .model import ContentRecord, EventAbstraction, SpikeRecord, utc_from_iso
 from .semantics import (
+    EventEmbeddings,
     HashingStubEmbedder,
     HttpEmbedder,
     cluster_multilevel,
@@ -342,12 +343,14 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
     each merge is stored. The groups are disjoint, so every survivor is
     re-inferred at once, on one request pool, and stored in group order:
     the stores read as after one merge at a time, also up to a failure.
-    Returns the surviving events in first-insertion order, the embeddings
-    still valid for them (a merged survivor's summary text changes, so its
-    vector is dropped) and the stage summary.
+    Returns the surviving events in first-insertion order, the
+    ``EventEmbeddings`` still valid for them (a merged survivor's summary
+    text changes, so every merged group's rows are dropped) and the stage
+    summary.
     """
     embeddings = embed_events(events, embedder)
     unembedded = len(events) - len(embeddings)
+    rows = embeddings.rows()
     groups = find_duplicates(events, embeddings, sim_threshold=config.dedup_threshold)
     live = {e.event_id: e for e in events}
     merges = [merge_events([live[eid] for eid in group_ids]) for group_ids in groups]
@@ -366,11 +369,11 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
             if enrichments:
                 merged = _append_enriched(*enrichments[index].result(), events_store, runs_store)
             for eid in group_ids:
-                embeddings.pop(eid, None)
+                rows.pop(eid, None)
                 if eid != merged.event_id:
                     del live[eid]
             live[merged.event_id] = merged
-    return list(live.values()), embeddings, {
+    return list(live.values()), EventEmbeddings.stack(rows), {
         "duplicate_groups": len(groups),
         "events_absorbed": sum(len(g) - 1 for g in groups),
         "events_surviving": len(live),
@@ -379,15 +382,17 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
 
 
 def stage_cluster(config: PipelineConfig, events: List[EventAbstraction], embedder, events_store,
-                  models_path, embeddings: dict):
+                  models_path, embeddings: EventEmbeddings):
     """Assign multi-level k-means signatures and store each signed event.
 
-    ``embeddings`` holds vectors already computed for some of the events;
-    only the others are embedded. An event that cannot be embedded is left
-    without a signature.
+    ``embeddings`` holds the rows already computed for some of the events
+    (``stage_dedup`` returns them); only the others are embedded, and
+    ``cluster_multilevel`` runs on the one matrix of both. An event that
+    cannot be embedded is left without a signature.
     """
-    embeddings = dict(embeddings)
-    embeddings.update(embed_events([e for e in events if e.event_id not in embeddings], embedder))
+    rows = embeddings.rows()
+    rows.update(embed_events([e for e in events if e.event_id not in rows], embedder).rows())
+    embeddings = EventEmbeddings.stack(rows)
     if not embeddings:
         return events, {"events": 0, "levels": list(config.levels)}
     signatures, models = cluster_multilevel(embeddings, levels=config.levels, seed=config.seed)

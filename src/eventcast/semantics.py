@@ -15,7 +15,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,21 +31,39 @@ DEFAULT_LEVELS = (10, 100, 1_000, 10_000)
 STUB_DIM = 64
 
 
-@dataclass(frozen=True)
-class EventEmbedding:
-    event_id: str
-    vector: tuple
-    norm: float
+@dataclass(frozen=True, eq=False)  # identity equality: compare the matrices with numpy
+class EventEmbeddings:
+    """Embedded events: ``matrix`` is a read-only ``(n, D)`` float64 array
+    whose row ``i`` embeds ``event_ids[i]``."""
+
+    event_ids: tuple
+    matrix: np.ndarray
 
     def __post_init__(self):
-        vec = tuple(float(v) for v in self.vector)
-        object.__setattr__(self, "vector", vec)
-        if not np.isfinite(vec).all():
-            raise ValueError(f"embedding for {self.event_id} has non-finite components")
+        ids = tuple(self.event_ids)
+        matrix = np.array(self.matrix, dtype=np.float64)
+        if len(set(ids)) != len(ids) or matrix.ndim != 2 or len(matrix) != len(ids):
+            raise ValueError(f"need one matrix row per distinct event id: {len(ids)} ids, "
+                             f"matrix shape {matrix.shape}")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "event_ids", ids)
+        object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def dim(self) -> int:
-        return len(self.vector)
+    @classmethod
+    def stack(cls, rows: Mapping[str, Sequence[float]]) -> "EventEmbeddings":
+        """One row per ``{event_id: vector}`` entry, in mapping order."""
+        dims = sorted({len(vector) for vector in rows.values()})
+        if len(dims) > 1:
+            raise ValueError(f"mixed embedding dimensions: {dims}")
+        matrix = np.array(list(rows.values()), dtype=np.float64)
+        return cls(tuple(rows), matrix.reshape(len(rows), dims[0] if dims else 0))
+
+    def __len__(self) -> int:
+        return len(self.event_ids)
+
+    def rows(self) -> Dict[str, np.ndarray]:
+        """``{event_id: read-only row view}``, in row order."""
+        return dict(zip(self.event_ids, self.matrix))
 
 
 class EmbeddingError(RuntimeError):
@@ -107,8 +125,9 @@ def event_summary_text(event: EventAbstraction) -> str:
     return "\n".join(parts)
 
 
-def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> EventEmbedding:
-    """Embed one event's summary text; deterministic per embedder."""
+def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> np.ndarray:
+    """Embed one event's summary text as a float64 vector; deterministic per
+    embedder. A zero or non-finite vector is rejected."""
     if not event.description.strip():
         raise ValueError(f"event {event.event_id} has no description to embed")
     text = event_summary_text(event)
@@ -121,28 +140,30 @@ def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> EventEmb
             last_exc = exc
     else:
         raise EmbeddingError(f"embedding failed for {event.event_id}: {last_exc}")
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
+    vector = np.array(vector, dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError(f"embedding for {event.event_id} has non-finite components")
+    if np.linalg.norm(vector) == 0.0:
         raise EmbeddingError(f"embedder returned a zero vector for {event.event_id}")
-    return EventEmbedding(event_id=event.event_id, vector=tuple(vector), norm=norm)
+    return vector
 
 
-def embed_events(events: Sequence[EventAbstraction], embedder) -> Dict[str, EventEmbedding]:
-    """Embed each event by id, in input order; an event that cannot be
-    embedded is logged and left out.
+def embed_events(events: Sequence[EventAbstraction], embedder) -> EventEmbeddings:
+    """Embed each event, one matrix row per event in input order; an event
+    that cannot be embedded is logged and left out.
 
     The embedder requests run on a ``thread_pool("request")``, so at most
-    ``MAX_CONCURRENT_REQUESTS`` are in flight.
+    ``MAX_CONCURRENT_REQUESTS`` are in flight. Mixed widths raise ``ValueError``.
     """
     with thread_pool("request") as pool:
         futures = [pool.submit(embed_event, event, embedder) for event in events]
-        embeddings = {}
+        rows = {}
         for event, future in zip(events, futures):
             try:
-                embeddings[event.event_id] = future.result()
+                rows[event.event_id] = future.result()
             except (EmbeddingError, ValueError) as exc:
                 logger.warning("event %s not embedded: %s", event.event_id, exc)
-    return embeddings
+    return EventEmbeddings.stack(rows)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -173,7 +194,7 @@ class _UnionFind:
 
 def find_duplicates(
     events: Sequence[EventAbstraction],
-    embeddings: Dict[str, EventEmbedding],
+    embeddings: EventEmbeddings,
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
 ) -> List[List[str]]:
     """Group same-date events whose embeddings are near-identical.
@@ -181,34 +202,27 @@ def find_duplicates(
     Within each date bucket, events are nodes and cosine >= threshold is
     an edge; the returned groups are the connected components of size
     >= 2 (components avoid any dependence on comparison order). Events
-    without an embedding are skipped.
+    without an embedding row are skipped.
     """
-    dims = {emb.dim for emb in embeddings.values()}
-    if len(dims) > 1:
-        raise ValueError(f"mixed embedding dimensions: {sorted(dims)}")
-
-    by_date: Dict[str, List[EventAbstraction]] = {}
+    rows = embeddings.rows()
+    by_date: Dict[str, List[str]] = {}
     for event in events:
-        if event.event_id in embeddings:
-            by_date.setdefault(event.date, []).append(event)
+        if event.event_id in rows:
+            by_date.setdefault(event.date, []).append(event.event_id)
 
     groups = []
     for date_key in sorted(by_date):
-        bucket = sorted(by_date[date_key], key=lambda e: e.event_id)
+        bucket = sorted(by_date[date_key])
         if len(bucket) < 2:
             continue
-        uf = _UnionFind([e.event_id for e in bucket])
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                a, b = bucket[i], bucket[j]
-                sim = cosine_similarity(
-                    embeddings[a.event_id].vector, embeddings[b.event_id].vector
-                )
-                if sim >= sim_threshold:
-                    uf.union(a.event_id, b.event_id)
+        uf = _UnionFind(bucket)
+        for i, a in enumerate(bucket):
+            for b in bucket[i + 1:]:
+                if cosine_similarity(rows[a], rows[b]) >= sim_threshold:
+                    uf.union(a, b)
         components: Dict[str, List[str]] = {}
-        for e in bucket:
-            components.setdefault(uf.find(e.event_id), []).append(e.event_id)
+        for eid in bucket:
+            components.setdefault(uf.find(eid), []).append(eid)
         for root in sorted(components):
             member_ids = sorted(components[root])
             if len(member_ids) >= 2:
@@ -260,52 +274,51 @@ def merge_events(
 
 # -- k-means -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: compare the centroids with numpy
 class ClusterModel:
-    """One granularity level's fitted centroids."""
+    """One granularity level's fitted centroids, a read-only ``(k, D)`` float64 array."""
 
     level_k: int
-    centroids: tuple  # k x D, as nested tuples
+    centroids: np.ndarray
     seed: int
     inertia: float
 
     def __post_init__(self):
         if self.level_k < 1:
             raise ValueError("level_k must be >= 1")
-        arr = np.asarray(self.centroids, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("centroids must be finite")
+        centroids = np.array(self.centroids, dtype=np.float64)
+        if centroids.ndim != 2 or len(centroids) != self.level_k or not np.isfinite(centroids).all():
+            raise ValueError(f"centroids must be a finite ({self.level_k}, D) array")
         if self.inertia < 0:
             raise ValueError("inertia must be >= 0")
+        centroids.flags.writeable = False
+        object.__setattr__(self, "centroids", centroids)
 
     def to_dict(self) -> dict:
         return {
             "level_k": self.level_k,
-            "centroids": [list(c) for c in self.centroids],
+            "centroids": self.centroids.tolist(),
             "seed": self.seed,
             "inertia": self.inertia,
         }
 
     @classmethod
     def from_dict(cls, d) -> "ClusterModel":
-        return cls(
-            level_k=d["level_k"],
-            centroids=tuple(tuple(c) for c in d["centroids"]),
-            seed=d["seed"],
-            inertia=d["inertia"],
-        )
+        return cls(level_k=d["level_k"], centroids=d["centroids"], seed=d["seed"],
+                   inertia=d["inertia"])
 
 
-_ASSIGN_CHUNK = 2_048  # rows per distance block, keeps n*k memory bounded
+_ASSIGN_BLOCK_BYTES = 32 * 2**20  # bound on one rows x k x D float64 difference block
 
 
 def _assign_nearest(points: np.ndarray, centroids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per point (ties to the lowest index) + distance^2."""
     n = points.shape[0]
+    step = max(1, _ASSIGN_BLOCK_BYTES // (centroids.size * 8))
     assignments = np.empty(n, dtype=int)
     dist_sq = np.empty(n)
-    for lo in range(0, n, _ASSIGN_CHUNK):
-        hi = min(lo + _ASSIGN_CHUNK, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         block = ((points[lo:hi, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assignments[lo:hi] = block.argmin(axis=1)
         dist_sq[lo:hi] = block[np.arange(hi - lo), assignments[lo:hi]]
@@ -374,13 +387,7 @@ def kmeans(
         assignments, _ = _assign_nearest(pts, centroids)
 
     inertia = float(((pts - centroids[assignments]) ** 2).sum())
-    model = ClusterModel(
-        level_k=k,
-        centroids=tuple(tuple(float(x) for x in c) for c in centroids),
-        seed=seed,
-        inertia=inertia,
-    )
-    return model, assignments
+    return ClusterModel(level_k=k, centroids=centroids, seed=seed, inertia=inertia), assignments
 
 
 @dataclass(frozen=True)
@@ -391,12 +398,9 @@ class MultilevelClusterModels:
     models: tuple  # ClusterModel per level
 
     def assign(self, vector) -> SemanticSignature:
-        ids = []
         vec = np.asarray(vector, dtype=float)
-        for model in self.models:
-            cents = np.asarray(model.centroids, dtype=float)
-            ids.append(int(((cents - vec) ** 2).sum(axis=1).argmin()))
-        return SemanticSignature(levels=self.levels, cluster_ids=tuple(ids))
+        ids = tuple(int(((m.centroids - vec) ** 2).sum(axis=1).argmin()) for m in self.models)
+        return SemanticSignature(levels=self.levels, cluster_ids=ids)
 
     def save(self, path) -> None:
         payload = {
@@ -419,33 +423,27 @@ class MultilevelClusterModels:
 
 
 def cluster_multilevel(
-    embeddings: Dict[str, EventEmbedding],
+    embeddings: EventEmbeddings,
     levels: Sequence[int] = DEFAULT_LEVELS,
     seed: int = 0,
 ) -> Tuple[Dict[str, SemanticSignature], MultilevelClusterModels]:
     """Independent k-means per granularity level -> signature per event.
 
-    Each level's k is clamped to the corpus size; signatures list the
-    cluster id per level in level order. Level runs derive distinct
-    seeds from the base seed so they stay independent but reproducible.
+    Every level clusters the one matrix of ``embeddings``, its rows taken
+    in event-id order. Each level's k is clamped to the corpus size;
+    signatures list the cluster id per level in level order. Level runs
+    derive distinct seeds from the base seed so they stay independent but
+    reproducible.
     """
     if not embeddings:
         raise ValueError("cluster_multilevel needs at least one embedding")
-    event_ids = sorted(embeddings)
-    matrix = np.asarray([embeddings[eid].vector for eid in event_ids], dtype=float)
-
-    models = []
-    per_level_ids = []
-    for index, level in enumerate(levels):
-        model, assignments = kmeans(matrix, k=level, seed=seed + index)
-        models.append(model)
-        per_level_ids.append(assignments)
-
-    signatures = {}
-    for row, eid in enumerate(event_ids):
-        signatures[eid] = SemanticSignature(
-            levels=tuple(int(k) for k in levels),
-            cluster_ids=tuple(int(per_level_ids[lvl][row]) for lvl in range(len(levels))),
-        )
-    return signatures, MultilevelClusterModels(levels=tuple(int(k) for k in levels),
-                                               models=tuple(models))
+    order = sorted(range(len(embeddings)), key=embeddings.event_ids.__getitem__)
+    matrix = embeddings.matrix[order]  # rows in event-id order
+    levels = tuple(int(k) for k in levels)
+    fits = [kmeans(matrix, k=level, seed=seed + index) for index, level in enumerate(levels)]
+    signatures = {
+        embeddings.event_ids[row]: SemanticSignature(
+            levels=levels, cluster_ids=tuple(int(ids[i]) for _, ids in fits))
+        for i, row in enumerate(order)
+    }
+    return signatures, MultilevelClusterModels(levels=levels, models=tuple(m for m, _ in fits))

@@ -25,7 +25,7 @@ from .inference.extract import build_event
 from .inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
 from .inference.prompts import build_extract_prompt, build_field_prompt
 from .model import EventDraft, TrafficSeries, utc_from_iso, utc_to_iso
-from .semantics import HashingStubEmbedder, embed_event, find_duplicates, merge_events
+from .semantics import EventEmbeddings, HashingStubEmbedder, embed_event, find_duplicates, merge_events
 
 SPIKE_Z_FLOOR_FACTOR = 0.05  # mirrors the scoring std floor
 
@@ -422,7 +422,7 @@ def synth_corpus(
 
     # events that will merge re-infer everything over the expanded records
     embedder = HashingStubEmbedder(dim=embedder_dim)
-    embeddings = {e.event_id: embed_event(e, embedder) for e in enriched}
+    embeddings = EventEmbeddings.stack({e.event_id: embed_event(e, embedder) for e in enriched})
     by_id = {e.event_id: e for e in enriched}
     for group_ids in find_duplicates(enriched, embeddings):
         merged = merge_events([by_id[eid] for eid in group_ids], store=None)

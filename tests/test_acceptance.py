@@ -22,7 +22,7 @@ from eventcast.inference.fields import FIELDS_BY_NAME, aggregate_runs, normalize
 from eventcast.model import FAILED, SpikeRecord
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
 from eventcast.semantics import (
-    EventEmbedding,
+    EventEmbeddings,
     cosine_similarity,
     find_duplicates,
     kmeans,
@@ -206,7 +206,7 @@ def test_criterion_3_kmeans_micro_optimality():
 def random_event_corpus(rng: np.random.Generator, py_rng: random.Random):
     """Events over a few dates with planted near-duplicate clusters."""
     dates = [f"2025-07-{d:02d}" for d in range(1, 5)]
-    events, embeddings = [], {}
+    events, vectors = [], {}
     eid = 0
 
     def add(vector, date):
@@ -214,8 +214,7 @@ def random_event_corpus(rng: np.random.Generator, py_rng: random.Random):
         event = make_event(event_id=f"evt-{eid:03d}", date=date,
                            description=f"synthetic event {eid}")
         events.append(event)
-        embeddings[event.event_id] = EventEmbedding(
-            event.event_id, tuple(vector), float(np.linalg.norm(vector)))
+        vectors[event.event_id] = vector
         eid += 1
 
     for date in dates:
@@ -229,10 +228,11 @@ def random_event_corpus(rng: np.random.Generator, py_rng: random.Random):
         # singletons
         for _ in range(py_rng.randint(1, 5)):
             add(rng.normal(size=8), date)
-    return events, embeddings
+    return events, EventEmbeddings.stack(vectors)
 
 
 def bfs_components(events, embeddings, threshold):
+    rows = embeddings.rows()
     by_date = {}
     for e in events:
         by_date.setdefault(e.date, []).append(e.event_id)
@@ -250,8 +250,7 @@ def bfs_components(events, embeddings, threshold):
                 for other in ids:
                     if other in seen:
                         continue
-                    sim = cosine_similarity(embeddings[node].vector,
-                                            embeddings[other].vector)
+                    sim = cosine_similarity(rows[node], rows[other])
                     if sim >= threshold:
                         seen.add(other)
                         queue.append(other)
@@ -284,14 +283,14 @@ def test_criterion_4_dedup_fixpoint_on_generated_corpora():
         assert len(survivors) == len(events) - removal
 
         # fixpoint: no surviving same-date pair at or above the threshold
+        rows = embeddings.rows()
         remaining = list(survivors.values())
         for i in range(len(remaining)):
             for j in range(i + 1, len(remaining)):
                 a, b = remaining[i], remaining[j]
                 if a.date != b.date:
                     continue
-                sim = cosine_similarity(embeddings[a.event_id].vector,
-                                        embeddings[b.event_id].vector)
+                sim = cosine_similarity(rows[a.event_id], rows[b.event_id])
                 assert sim < 0.90
         corpora += 1
         merged_total += removal

@@ -397,11 +397,13 @@ class TestEmbedEvents:
                   for i in range(12)]
         with caplog.at_level(logging.WARNING, logger="eventcast.semantics"):
             embeddings = embed_events(events, SlowEarlyEmbedder(len(events)))
-        assert list(embeddings) == [e.event_id for e in events if int(e.event_id[4:]) % 3]
+        assert list(embeddings.event_ids) == [e.event_id for e in events
+                                              if int(e.event_id[4:]) % 3]
         skipped = [r.args[0] for r in caplog.records if "not embedded" in r.getMessage()]
         assert skipped == ["evt-0", "evt-3", "evt-6", "evt-9"]
-        assert embeddings == {e.event_id: embed_event(e, HashingStubEmbedder())
-                              for e in events if e.event_id in embeddings}
+        assert {eid: row.tolist() for eid, row in embeddings.rows().items()} == {
+            e.event_id: embed_event(e, HashingStubEmbedder()).tolist()
+            for e in events if e.event_id in embeddings.event_ids}
 
 
 def scenario_answer(inputs, config: PipelineConfig):

@@ -2,21 +2,26 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eventcast import semantics
 from eventcast.semantics import (
     ClusterModel,
-    EventEmbedding,
+    EmbeddingError,
+    EventEmbeddings,
     HashingStubEmbedder,
     MultilevelClusterModels,
     cluster_multilevel,
     cosine_similarity,
     embed_event,
+    embed_events,
     find_duplicates,
     kmeans,
     merge_events,
@@ -91,7 +96,7 @@ class TestKmeans:
     def test_k_one_is_mean(self):
         points = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]
         model, _ = kmeans(points, k=1, seed=0)
-        assert model.centroids[0] == (1.0, 1.0)
+        assert model.centroids[0].tolist() == [1.0, 1.0]
 
     def test_k_clamped_to_n(self):
         model, assign = kmeans([[0.0], [1.0]], k=10, seed=0)
@@ -121,7 +126,7 @@ class TestKmeans:
         points = rng.normal(size=(30, 2))
         m1, a1 = kmeans(points, k=4, seed=9)
         m2, a2 = kmeans(points, k=4, seed=9)
-        assert m1 == m2 and (a1 == a2).all()
+        assert m1.to_dict() == m2.to_dict() and (a1 == a2).all()
 
     def test_inertia_non_increasing_with_more_iterations(self):
         rng = np.random.default_rng(21)
@@ -144,6 +149,89 @@ class TestKmeans:
         for points, k in fixtures:
             model, _ = best_of_seeds(points, k)
             assert model.inertia == pytest.approx(optimal_inertia(points, k), abs=1e-9)
+
+
+# -- nearest-centroid assignment ---------------------------------------------------
+
+def oracle_assign_nearest(points, centroids, chunk=2_048):
+    """The fixed 2,048-row blocking ``_assign_nearest`` replaced."""
+    n = points.shape[0]
+    assignments = np.empty(n, dtype=int)
+    dist_sq = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        block = ((points[lo:hi, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assignments[lo:hi] = block.argmin(axis=1)
+        dist_sq[lo:hi] = block[np.arange(hi - lo), assignments[lo:hi]]
+    return assignments, dist_sq
+
+
+def assert_same_assignment(points, centroids):
+    got_ids, got_sq = semantics._assign_nearest(points, centroids)
+    want_ids, want_sq = oracle_assign_nearest(points, centroids)
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got_sq.view(np.int64), want_sq.view(np.int64))
+
+
+class TestAssignNearest:
+    def tie_case(self):
+        # integer grid points against duplicated and mirrored centroids:
+        # many points are equidistant from several centroids
+        rng = np.random.default_rng(31)
+        points = rng.integers(-2, 3, size=(50, 2)).astype(float)
+        centroids = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, -1.0],
+                              [-1.0, 1.0], [1.0, 1.0]])
+        return points, centroids
+
+    def test_ties_go_to_lowest_index(self):
+        points, centroids = self.tie_case()
+        ids, _ = semantics._assign_nearest(points, centroids)
+        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        tied = (dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.any()
+        assert (ids == dists.argmin(axis=1)).all()
+        assert not np.isin(ids, [1, 5]).any()  # duplicates never win a tie
+        assert_same_assignment(points, centroids)
+
+    @pytest.mark.parametrize("rows_per_block,extra_bytes", [(1, 0), (1, -1), (3, 7), (7, 0)])
+    def test_small_blocks_match_oracle_bitwise(self, monkeypatch, rows_per_block, extra_bytes):
+        # one-row blocks (also when a single row exceeds the bound) and
+        # a 50-point set that the block does not divide
+        points, centroids = self.tie_case()
+        row_bytes = centroids.size * 8
+        monkeypatch.setattr(semantics, "_ASSIGN_BLOCK_BYTES",
+                            rows_per_block * row_bytes + extra_bytes)
+        assert_same_assignment(points, centroids)
+        rng = np.random.default_rng(rows_per_block)
+        assert_same_assignment(rng.normal(size=(50, 5)), rng.normal(size=(9, 5)))
+
+    def test_default_bound_matches_oracle_bitwise(self):
+        # 2,500 points at 873 rows per block, against the oracle's 2,048 + 452
+        rng = np.random.default_rng(32)
+        points, centroids = rng.normal(size=(2_500, 16)), rng.normal(size=(300, 16))
+        assert semantics._ASSIGN_BLOCK_BYTES // (centroids.size * 8) == 873
+        assert_same_assignment(points, centroids)
+
+    def test_block_memory_bounded_by_bytes(self):
+        # the 2,048-row block here would be 128 MiB
+        rng = np.random.default_rng(33)
+        points, centroids = rng.normal(size=(2_048, 32)), rng.normal(size=(256, 32))
+        tracemalloc.start()
+        try:
+            semantics._assign_nearest(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * semantics._ASSIGN_BLOCK_BYTES
+
+    def test_kmeans_unchanged_by_block_size(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        points = rng.normal(size=(60, 3))
+        model, assign = kmeans(points, k=7, seed=4)
+        monkeypatch.setattr(semantics, "_ASSIGN_BLOCK_BYTES", 1)
+        one_row_model, one_row_assign = kmeans(points, k=7, seed=4)
+        assert json.dumps(one_row_model.to_dict()) == json.dumps(model.to_dict())
+        assert (one_row_assign == assign).all()
 
 
 class TestCosine:
@@ -177,7 +265,7 @@ class TestEmbedding:
         embedder = HashingStubEmbedder()
         e1 = embed_event(event, embedder)
         e2 = embed_event(event, HashingStubEmbedder())
-        assert e1.vector == e2.vector and e1.norm > 0
+        assert e1.tolist() == e2.tolist() and np.linalg.norm(e1) > 0
 
     def test_empty_description_rejected(self):
         event = make_event()
@@ -190,7 +278,7 @@ class TestEmbedding:
         # accidental change (it anchors every dedup fixture downstream)
         event = make_event(description="Continental Cup semi-final",
                            category="Sports", entities=("Hawks",))
-        vector = embed_event(event, HashingStubEmbedder(dim=8)).vector
+        vector = embed_event(event, HashingStubEmbedder(dim=8))
         frozen = json.loads((DATA / "stub_embedding_fixture.json").read_text())
         assert list(vector) == pytest.approx(frozen, abs=1e-12)
 
@@ -199,7 +287,70 @@ class TestEmbedding:
         with_meta = make_event(description="Same text", category="Sports",
                                entities=("Hawks",))
         embedder = HashingStubEmbedder()
-        assert embed_event(base, embedder).vector != embed_event(with_meta, embedder).vector
+        assert (embed_event(base, embedder).tolist()
+                != embed_event(with_meta, embedder).tolist())
+
+
+    @pytest.mark.parametrize("vector,error", [
+        ([0.0, 0.0, 0.0], EmbeddingError),
+        ([1.0, float("nan"), 0.0], ValueError),
+        ([float("inf"), 1.0, 0.0], ValueError),
+    ])
+    def test_bad_vector_skips_that_event_only(self, caplog, vector, error):
+        class OneBadEmbedder:
+            def embed(self, text):
+                return list(vector) if "bad" in text else [1.0, 2.0, 3.0]
+
+        events = [make_event(event_id="good-1", description="fine"),
+                  make_event(event_id="bad", description="bad one"),
+                  make_event(event_id="good-2", description="also fine")]
+        with pytest.raises(error):
+            embed_event(events[1], OneBadEmbedder())
+        with caplog.at_level(logging.WARNING, logger="eventcast.semantics"):
+            embeddings = embed_events(events, OneBadEmbedder())
+        assert embeddings.event_ids == ("good-1", "good-2")
+        assert embeddings.matrix.tolist() == [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]
+        assert [r.args[0] for r in caplog.records] == ["bad"]
+
+
+class TestEventEmbeddings:
+    def test_stack_is_a_read_only_float64_copy_in_mapping_order(self):
+        b = np.array([0.0, 2.0])
+        embeddings = EventEmbeddings.stack({"b": b, "a": [1, 3]})
+        assert embeddings.event_ids == ("b", "a") and len(embeddings) == 2
+        assert embeddings.matrix.dtype == np.float64
+        assert embeddings.matrix.tolist() == [[0.0, 2.0], [1.0, 3.0]]
+        b[0] = 9.0
+        assert embeddings.matrix[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            embeddings.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            embeddings.rows()["a"][0] = 1.0
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"mixed embedding dimensions: \[2, 3\]"):
+            EventEmbeddings.stack({"a": (1.0, 0.0), "b": (1.0, 0.0, 0.0)})
+
+    def test_mixed_embedder_widths_rejected(self):
+        class WidthByText:
+            def embed(self, text):
+                return [1.0] * (3 if "wide" in text else 2)
+
+        events = [make_event(event_id="a", description="narrow"),
+                  make_event(event_id="b", description="wide")]
+        with pytest.raises(ValueError, match="mixed embedding dimensions"):
+            embed_events(events, WidthByText())
+
+    def test_rows_must_match_distinct_ids(self):
+        for ids, matrix in ((("a",), np.zeros((2, 3))), (("a",), np.zeros(3)),
+                            (("a", "a"), np.ones((2, 3)))):
+            with pytest.raises(ValueError, match="one matrix row per distinct event id"):
+                EventEmbeddings(ids, matrix)
+
+    def test_empty(self):
+        embeddings = EventEmbeddings.stack({})
+        assert not embeddings and embeddings.matrix.shape == (0, 0)
+        assert embeddings.rows() == {}
 
 
 def unit(angle_deg):
@@ -207,49 +358,41 @@ def unit(angle_deg):
     return (math.cos(rad), math.sin(rad))
 
 
-def embedding_for(event_id, angle_deg):
-    vec = unit(angle_deg)
-    return EventEmbedding(event_id=event_id, vector=vec, norm=1.0)
+def embeddings_at(angles_deg):
+    """``{event_id: angle}`` -> one unit-circle row per event."""
+    return EventEmbeddings.stack({eid: unit(angle) for eid, angle in angles_deg.items()})
 
 
 class TestFindDuplicates:
     def test_same_date_above_threshold(self):
         events = [make_event(event_id="a", date="2025-07-02"),
                   make_event(event_id="b", date="2025-07-02")]
-        embeddings = {"a": embedding_for("a", 0), "b": embedding_for("b", 10)}  # cos 0.985
+        embeddings = embeddings_at({"a": 0, "b": 10})  # cos 0.985
         groups = find_duplicates(events, embeddings, sim_threshold=0.90)
         assert groups == [["a", "b"]]
 
     def test_different_dates_never_grouped(self):
         events = [make_event(event_id="a", date="2025-07-02"),
                   make_event(event_id="b", date="2025-07-03")]
-        embeddings = {"a": embedding_for("a", 0), "b": embedding_for("b", 0)}  # identical
+        embeddings = embeddings_at({"a": 0, "b": 0})  # identical
         assert find_duplicates(events, embeddings) == []
 
     def test_chain_forms_one_component(self):
         # a~b and b~c above 0.9, a~c below: connected components join all three
         events = [make_event(event_id=e, date="2025-07-02") for e in "abc"]
-        embeddings = {
-            "a": embedding_for("a", 0.0),
-            "b": embedding_for("b", 23.0),   # cos(23) = 0.921
-            "c": embedding_for("c", 47.0),   # cos(24) = 0.914 to b, cos(47) = 0.682 to a
-        }
-        assert cosine_similarity(embeddings["a"].vector, embeddings["c"].vector) < 0.90
+        embeddings = embeddings_at({
+            "a": 0.0,
+            "b": 23.0,   # cos(23) = 0.921
+            "c": 47.0,   # cos(24) = 0.914 to b, cos(47) = 0.682 to a
+        })
+        rows = embeddings.rows()
+        assert cosine_similarity(rows["a"], rows["c"]) < 0.90
         groups = find_duplicates(events, embeddings, sim_threshold=0.90)
         assert groups == [["a", "b", "c"]]
 
-    def test_mixed_dimensions_rejected(self):
-        events = [make_event(event_id="a"), make_event(event_id="b")]
-        embeddings = {
-            "a": EventEmbedding("a", (1.0, 0.0), 1.0),
-            "b": EventEmbedding("b", (1.0, 0.0, 0.0), 1.0),
-        }
-        with pytest.raises(ValueError, match="dimensions"):
-            find_duplicates(events, embeddings)
-
     def test_singletons_not_returned(self):
         events = [make_event(event_id="a"), make_event(event_id="b")]
-        embeddings = {"a": embedding_for("a", 0), "b": embedding_for("b", 60)}
+        embeddings = embeddings_at({"a": 0, "b": 60})
         assert find_duplicates(events, embeddings) == []
 
 
@@ -291,8 +434,7 @@ class TestMergeEvents:
 
     def test_store_merge_and_fixpoint(self, tmp_path):
         early, late = self.make_pair()
-        embeddings = {"evt-early": embedding_for("evt-early", 0),
-                      "evt-late": embedding_for("evt-late", 5)}
+        embeddings = embeddings_at({"evt-early": 0, "evt-late": 5})
         groups = find_duplicates([early, late], embeddings)
         assert len(groups) == 1
         with EventStore(tmp_path / "events.jsonl") as store:
@@ -304,7 +446,8 @@ class TestMergeEvents:
         # event count decreased by group size - 1
         assert len(live) == 2 - 1
         # re-running dedup on survivors finds nothing
-        survivors = {e.event_id: embeddings[e.event_id] for e in live}
+        rows = embeddings.rows()
+        survivors = EventEmbeddings.stack({e.event_id: rows[e.event_id] for e in live})
         assert find_duplicates(live, survivors) == []
 
     def test_record_ids_conserved(self):
@@ -315,10 +458,7 @@ class TestMergeEvents:
 
 class TestMultilevel:
     def make_embeddings(self, vectors):
-        return {
-            f"evt-{i}": EventEmbedding(f"evt-{i}", tuple(v), float(np.linalg.norm(v)))
-            for i, v in enumerate(vectors)
-        }
+        return EventEmbeddings.stack({f"evt-{i}": v for i, v in enumerate(vectors)})
 
     def test_clamped_levels_and_signature_length(self):
         rng = np.random.default_rng(0)
@@ -358,12 +498,24 @@ class TestMultilevel:
         models.save(path)
         loaded = MultilevelClusterModels.load(path)
         # assigning an existing vector reproduces its signature
-        probe = embeddings["evt-0"]
-        assert loaded.assign(probe.vector) == signatures["evt-0"]
+        probe = embeddings.rows()["evt-0"]
+        assert loaded.assign(probe) == signatures["evt-0"]
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        rng = np.random.default_rng(8)
+        embeddings = self.make_embeddings(rng.normal(size=(12, 4)))
+        rows = embeddings.rows()
+        reversed_rows = EventEmbeddings.stack(dict(reversed(list(rows.items()))))
+        for path, given in ((tmp_path / "a.json", embeddings),
+                            (tmp_path / "b.json", reversed_rows)):
+            signatures, models = cluster_multilevel(given, levels=[3, 5], seed=2)
+            models.save(path)
+            assert signatures == cluster_multilevel(embeddings, levels=[3, 5], seed=2)[0]
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cluster_multilevel({}, levels=[2], seed=0)
+            cluster_multilevel(EventEmbeddings.stack({}), levels=[2], seed=0)
 
     def test_saved_bytes_are_json_dumps(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -382,4 +534,15 @@ class TestMultilevel:
 
 def test_cluster_model_round_trip():
     model = ClusterModel(level_k=2, centroids=((0.0, 1.0), (2.0, 3.0)), seed=7, inertia=1.5)
-    assert ClusterModel.from_dict(model.to_dict()) == model
+    assert ClusterModel.from_dict(model.to_dict()).to_dict() == model.to_dict()
+
+
+def test_cluster_model_centroids_are_a_read_only_array():
+    model = ClusterModel(level_k=2, centroids=[[0, 1], [2, 3]], seed=7, inertia=1.5)
+    assert model.centroids.dtype == np.float64 and model.centroids.shape == (2, 2)
+    with pytest.raises(ValueError):
+        model.centroids[0, 0] = 5.0
+    with pytest.raises(ValueError, match="finite"):
+        ClusterModel(level_k=1, centroids=[[float("nan"), 0.0]], seed=0, inertia=0.0)
+    with pytest.raises(ValueError, match=r"finite \(2, D\) array"):
+        ClusterModel(level_k=2, centroids=[[0.0, 1.0]], seed=0, inertia=0.0)
