@@ -26,14 +26,20 @@ from ..model import InvariantError
 from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 
 
-# stage_infer and stage_dedup run as many event threads again. On the
-# remote_services benchmark workload (15 ms per request, 2 cores, seed 1,
-# merges re-inferred concurrently) a run took 2.23 s at 6, 1.86 s at 8,
-# 1.60 s at 10 and 0.93 s at 24: the run waits on the cap, not on CPU. It
-# stays at 8 while the benchmark's peak_rss_mb counts the driver's memory,
-# which grows with each round a faster run fits into its 60 s (ROADMAP
-# item 4).
-MAX_CONCURRENT_REQUESTS = 8
+# stage_infer and stage_dedup run as many event threads again, so a stage
+# runs twice this many threads. On the remote_services benchmark workload
+# (15 ms per request, 2 cores, seed 1) the median of six runs took 2.26 s
+# at 8, 1.95 s at 12, 1.36 s at 16, 1.22 s at 24 and 1.32 s at 32. Up to 16
+# the run waits on the cap. Past it the curve flattens: the dedup stage
+# (0.27-0.34 s at each cap) and the CPU of client and server on 2 cores
+# take over, while the threads per stage keep growing, local stub backends
+# pay for them in thread switches (infer on traffic_wide: 0.140 s at 8,
+# 0.158 s at 16), and each extra round a faster run fits into the
+# benchmark's 60 s raises its peak_rss_mb, which reads the driver's memory
+# (ROADMAP item 1). However high the cap, at most
+# remote.MAX_OPENING_CONNECTIONS new connections to one address wait for a
+# first answer at a time.
+MAX_CONCURRENT_REQUESTS = 16
 
 
 @contextmanager

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time as time_mod
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -614,12 +615,10 @@ def _load_labels(path) -> List[dict]:
     return labels
 
 
-def _overlap_fraction(spike: SpikeRecord, start, end) -> float:
-    lo = max(spike.start, start)
-    hi = min(spike.end, end)
-    length = (hi - lo).total_seconds()
-    planted = (end - start).total_seconds()
-    return max(0.0, length) / planted if planted > 0 else 0.0
+def _overlaps(spike: SpikeRecord, start, end) -> bool:
+    """Whether the spike and the planted interval [start, end] share a
+    positive length of time, which an empty interval never does."""
+    return max(spike.start, start) < min(spike.end, end)
 
 
 def _label_spikes(spikes, labels, matches):
@@ -628,26 +627,30 @@ def _label_spikes(spikes, labels, matches):
     A detected spike is event-driven when it overlaps a planted interval
     on its network. Also summarizes planted-event outcomes: a planted
     event is covered when some overlapping detected spike has a match.
+    Each label's bounds are parsed once, in label order, so a malformed
+    label fails on the first one in file order.
     """
     matched_keys = {m.spike.key() for m in matches}
-    labeled = []
+    intervals = [(label["network_id"], utc_from_iso(label["start"]), utc_from_iso(label["end"]))
+                 for label in labels]
+    intervals_by_network = defaultdict(list)
+    for network_id, start, end in intervals:
+        intervals_by_network[network_id].append((start, end))
+    spikes_by_network = defaultdict(list)
     for spike in spikes:
-        event_driven = any(
-            label["network_id"] == spike.network_id
-            and _overlap_fraction(spike, utc_from_iso(label["start"]), utc_from_iso(label["end"])) > 0
-            for label in labels
-        )
-        labeled.append((spike, event_driven))
+        spikes_by_network[spike.network_id].append(spike)
+
+    labeled = [
+        (spike, any(_overlaps(spike, start, end)
+                    for start, end in intervals_by_network.get(spike.network_id, ())))
+        for spike in spikes
+    ]
 
     non_spont_total = non_spont_covered = 0
     spont_total = spont_matched = 0
     detected_planted = 0
-    for label in labels:
-        start, end = utc_from_iso(label["start"]), utc_from_iso(label["end"])
-        overlapping = [
-            s for s in spikes
-            if s.network_id == label["network_id"] and _overlap_fraction(s, start, end) > 0
-        ]
+    for label, (network_id, start, end) in zip(labels, intervals):
+        overlapping = [s for s in spikes_by_network.get(network_id, ()) if _overlaps(s, start, end)]
         if overlapping:
             detected_planted += 1
         matched = any(s.key() in matched_keys for s in overlapping)

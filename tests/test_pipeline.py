@@ -3,8 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ import pytest
 
 import eventcast.pipeline as pipeline
 from eventcast.baseline import read_traffic_csv, write_traffic_csv
+from eventcast.correlate import SpikeEventMatch
 from eventcast.inference.backends import BackendError, BackendTimeout, StubFixtureMissing
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.ingest import FilterConfig
-from eventcast.model import ContentRecord, SpikeRecord, TrafficSeries
+from eventcast.model import ContentRecord, SpikeRecord, TrafficSeries, utc_from_iso, utc_to_iso
 from eventcast.pipeline import PipelineConfig, build_llm, materialize_scenario, run_pipeline
 from eventcast.semantics import HashingStubEmbedder, cluster_multilevel, embed_events
 from eventcast.store import EventStore, JsonlStore
@@ -139,6 +142,156 @@ class TestRerun:
         report = run_pipeline(dataclasses.replace(config, out_dir=str(out), labels_path=None))
         assert "coverage" not in report["stages"]["report"]
         assert not (out / "reports" / "coverage.csv").exists()
+
+
+# -- oracle: the per-(spike, label) scan that parsed each label's bounds per pair --
+
+def oracle_overlap_fraction(spike: SpikeRecord, start, end) -> float:
+    lo = max(spike.start, start)
+    hi = min(spike.end, end)
+    length = (hi - lo).total_seconds()
+    planted = (end - start).total_seconds()
+    return max(0.0, length) / planted if planted > 0 else 0.0
+
+
+def oracle_label_spikes(spikes, labels, matches):
+    matched_keys = {m.spike.key() for m in matches}
+    labeled = []
+    for spike in spikes:
+        event_driven = any(
+            label["network_id"] == spike.network_id
+            and oracle_overlap_fraction(spike, utc_from_iso(label["start"]),
+                                        utc_from_iso(label["end"])) > 0
+            for label in labels
+        )
+        labeled.append((spike, event_driven))
+
+    non_spont_total = non_spont_covered = 0
+    spont_total = spont_matched = 0
+    detected_planted = 0
+    for label in labels:
+        start, end = utc_from_iso(label["start"]), utc_from_iso(label["end"])
+        overlapping = [
+            s for s in spikes
+            if s.network_id == label["network_id"] and oracle_overlap_fraction(s, start, end) > 0
+        ]
+        if overlapping:
+            detected_planted += 1
+        matched = any(s.key() in matched_keys for s in overlapping)
+        if label.get("spontaneous"):
+            spont_total += 1
+            spont_matched += int(matched)
+        elif not label.get("sub_threshold"):
+            non_spont_total += 1
+            non_spont_covered += int(matched)
+    planted = {
+        "planted_total": len(labels),
+        "planted_detected": detected_planted,
+        "non_spontaneous_total": non_spont_total,
+        "non_spontaneous_covered": non_spont_covered,
+        "non_spontaneous_coverage": (
+            non_spont_covered / non_spont_total if non_spont_total else None
+        ),
+        "spontaneous_total": spont_total,
+        "spontaneous_matched": spont_matched,
+    }
+    return labeled, planted
+
+
+T0 = datetime(2024, 3, 4, tzinfo=timezone.utc)
+
+
+def _spike(network_id, start_min, minutes):
+    start = T0 + timedelta(minutes=start_min)
+    return SpikeRecord(network_id=network_id, start=start, end=start + timedelta(minutes=minutes),
+                       peak_z=4.0, mean_z=3.0, duration_minutes=float(minutes))
+
+
+def _label(network_id, start_min, minutes, **flags):
+    start = T0 + timedelta(minutes=start_min)
+    return {"network_id": network_id, "start": utc_to_iso(start),
+            "end": utc_to_iso(start + timedelta(minutes=minutes)), **flags}
+
+
+def _match(spike):
+    return SpikeEventMatch(spike=spike, event_id="e", time_offset_minutes=0.0, match_score=1.0)
+
+
+class TestLabelSpikes:
+    def assert_same_as_oracle(self, spikes, labels, matches):
+        labeled, planted = pipeline._label_spikes(spikes, labels, matches)
+        expected_labeled, expected_planted = oracle_label_spikes(spikes, labels, matches)
+        assert [(s.key(), flag) for s, flag in labeled] == \
+            [(s.key(), flag) for s, flag in expected_labeled]
+        assert all(a is b for (a, _), (b, _) in zip(labeled, expected_labeled))
+        assert planted == expected_planted
+        return labeled, planted
+
+    def test_edges_across_networks(self):
+        spikes = [_spike("a", 60, 30), _spike("b", 60, 30), _spike("b", 200, 10),
+                  _spike("c", 0, 5), _spike("a", 300, 60)]
+        labels = [
+            _label("a", 90, 20),                      # starts exactly at a's first spike end
+            _label("b", 30, 30),                      # ends exactly at b's first spike start
+            _label("a", 70, 0),                       # zero length, inside a spike
+            _label("a", 80, -15),                     # ends before it starts
+            _label("b", 205, 60, spontaneous=True),   # overlaps b's matched second spike
+            _label("a", 320, 5, sub_threshold=True),  # inside a's second spike
+            _label("c", 1, 1),
+            _label("d", 0, 600),                      # a network without spikes
+            # at +01:00, over the last minute of a's second spike
+            {"network_id": "a", "start": "2024-03-04T06:59:00+01:00",
+             "end": "2024-03-04T07:01:00+01:00"},
+        ]
+        matches = [_match(spikes[2]), _match(spikes[3])]
+        labeled, planted = self.assert_same_as_oracle(spikes, labels, matches)
+        assert [flag for _, flag in labeled] == [False, False, True, True, True]
+        assert planted == {
+            "planted_total": 9, "planted_detected": 4, "non_spontaneous_total": 7,
+            "non_spontaneous_covered": 1, "non_spontaneous_coverage": 1 / 7,
+            "spontaneous_total": 1, "spontaneous_matched": 1,
+        }
+
+    def test_no_labels_or_no_spikes(self):
+        spikes = [_spike("a", 0, 10)]
+        self.assert_same_as_oracle(spikes, [], [])
+        self.assert_same_as_oracle([], [_label("a", 0, 10), _label("a", 5, 0)], [])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_grid_matches_oracle(self, seed):
+        # a coarse 5-minute grid makes touching and zero-length intervals common
+        rng = random.Random(seed)
+        networks = ["n0", "n1", "n2", "n3"]
+        spikes = [_spike(rng.choice(networks), 5 * rng.randrange(60), 5 * rng.randint(1, 6))
+                  for _ in range(rng.randrange(25))]
+        flags = [{}, {"spontaneous": True}, {"sub_threshold": True}]
+        labels = [_label(rng.choice(networks), 5 * rng.randrange(60), 5 * rng.randrange(5),
+                         **rng.choice(flags))
+                  for _ in range(rng.randrange(15))]
+        matches = [_match(s) for s in spikes if rng.random() < 0.4]
+        self.assert_same_as_oracle(spikes, labels, matches)
+
+    def test_default_run_matches_oracle(self, default_run):
+        _, config, report = default_run
+        out = Path(config.out_dir)
+        spikes = [SpikeRecord.from_dict(json.loads(line))
+                  for line in (out / "spikes.jsonl").read_text().splitlines()]
+        matches = [SpikeEventMatch.from_dict(json.loads(line))
+                   for line in (out / "matches.jsonl").read_text().splitlines()]
+        labels = pipeline._load_labels(config.labels_path)
+        assert labels and matches
+        _, planted = self.assert_same_as_oracle(spikes, labels, matches)
+        assert planted == report["stages"]["report"]["planted"]
+
+    def test_first_malformed_label_in_file_order_fails(self):
+        spikes = [_spike("a", 0, 10)]
+        good = _label("a", 0, 10)
+        with pytest.raises(KeyError):
+            pipeline._label_spikes(spikes, [good, {"network_id": "b", "end": good["end"]},
+                                            {**good, "start": "not a time"}], [])
+        with pytest.raises(ValueError, match="not a time"):
+            pipeline._label_spikes(spikes, [good, {**good, "start": "not a time"},
+                                            {"network_id": "b", "end": good["end"]}], [])
 
 
 def _bad_network(kind: str) -> TrafficSeries:

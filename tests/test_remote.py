@@ -101,12 +101,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.server.content_length:
             self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        if not getattr(self, "answered", False):
+        if getattr(self, "answered", False):
+            self.end_headers()
+        else:
             self.answered = True
+            # The client may open its next connection as soon as this
+            # status line arrives; get_request counts that one under the
+            # same lock, so it is not counted before this reply is.
             with self.server.lock:
+                self.end_headers()
                 self.server.unanswered -= 1
+        self.wfile.write(payload)
         if self.server.close_after_reply:
             self.close_connection = True
 
