@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_detect_spikes)
 
     p = sub.add_parser("ingest", help="filter posts and assemble content records")
-    p.add_argument("--connector", default="file", choices=["file"])
     p.add_argument("--corpus", required=True)
     p.add_argument("--search-term", action="append", default=[])
     p.add_argument("--community", action="append", default=[])

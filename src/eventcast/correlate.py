@@ -10,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .baseline import ZSeries
-from .model import EventAbstraction, SpikeRecord, utc_to_iso
+from .model import EventAbstraction, SpikeRecord, from_json_dict, record_dict, utc_to_iso
 
 logger = logging.getLogger(__name__)
 
@@ -34,23 +34,8 @@ class SpikeEventMatch:
         if not (0.0 <= self.match_score <= 1.0):
             raise ValueError(f"match_score {self.match_score} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "spike": self.spike.to_dict(),
-            "event_id": self.event_id,
-            "time_offset_minutes": self.time_offset_minutes,
-            "match_score": self.match_score,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "SpikeEventMatch":
-        return cls(
-            spike=SpikeRecord.from_dict(d["spike"]),
-            event_id=d["event_id"],
-            time_offset_minutes=d["time_offset_minutes"],
-            match_score=d["match_score"],
-        )
+    to_dict = record_dict
+    from_dict = classmethod(from_json_dict)
 
 
 def match_spikes_to_events(

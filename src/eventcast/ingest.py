@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from .model import ContentRecord, InvariantError, ensure_utc, utc_from_iso
+from .model import ContentRecord, InvariantError, ensure_utc, from_json_dict, to_json_dict, utc_from_iso
 from .remote import JsonEndpoint, RemoteError, bearer_headers
 from .textclean import clean_text
 
@@ -72,22 +72,8 @@ class FilterConfig:
         community_hit = post.community.lower() in {c.lower() for c in self.communities}
         return term_hit or community_hit
 
-    def to_dict(self) -> dict:
-        return {
-            "search_terms": list(self.search_terms),
-            "communities": list(self.communities),
-            "min_engagement": self.min_engagement,
-            "require_outbound_link": self.require_outbound_link,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "FilterConfig":
-        return cls(
-            search_terms=tuple(d.get("search_terms", ())),
-            communities=tuple(d.get("communities", ())),
-            min_engagement=d.get("min_engagement", 0),
-            require_outbound_link=d.get("require_outbound_link", False),
-        )
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
 
 @dataclass(frozen=True)

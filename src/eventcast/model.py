@@ -1,18 +1,28 @@
 """Shared domain types: traffic series, spikes, content records, events.
 
-Every type is an immutable dataclass with explicit invariant checks and
-dict round-trip serialization (``to_dict`` / ``from_dict``). All
-timestamps are timezone-aware UTC. Records serialized to disk carry
-``schema_version: 1``.
+Every type is an immutable dataclass with explicit invariant checks. All
+timestamps are timezone-aware UTC.
+
+The records stored one per line in JSONL files, and the scenario and
+pipeline config files, take their dict form from one codec,
+``to_json_dict`` / ``from_json_dict``, by one rule:
+
+- a datetime is an ISO-8601 string with a ``Z`` suffix;
+- a tuple is a list, and a nested record is its own dict form;
+- a line record (``record_dict``) also carries ``schema_version: 1``;
+- on reading, a missing key takes the field's default, and a key that
+  names no field is rejected (``schema_version`` and a store's
+  ``stored_id`` excepted).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -55,6 +65,83 @@ def utc_from_iso(s: str) -> datetime:
 
 def utc_to_iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+# -- the dict form of stored records -----------------------------------------
+
+# keys a stored line may carry that name no field
+_NON_FIELD_KEYS = frozenset({"schema_version", "stored_id"})
+# values written as they are (checked first: nearly every value is one)
+_AS_IS = frozenset({str, int, float, bool, type(None), dict})
+
+
+def _to_json(value: Any) -> Any:
+    if type(value) in _AS_IS:
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, datetime):
+        return utc_to_iso(value)
+    if is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+def to_json_dict(obj) -> dict:
+    """The dict form of a dataclass instance, field by field."""
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def record_dict(obj) -> dict:
+    """``to_json_dict`` plus ``schema_version``, for records stored one per line."""
+    d = to_json_dict(obj)
+    d["schema_version"] = SCHEMA_VERSION
+    return d
+
+
+def _decoder(tp) -> Optional[Callable[[Any], Any]]:
+    """How to read a JSON value back into type ``tp``; None keeps it as is."""
+    if get_origin(tp) is Union:  # Optional[X]: None stays None
+        inner = _decoder(next(a for a in get_args(tp) if a is not type(None)))
+        if inner is None:
+            return None
+        return lambda v: None if v is None else inner(v)
+    if tp is datetime:
+        return utc_from_iso
+    if is_dataclass(tp):
+        return tp.from_dict
+    if tp is tuple:
+        return tuple
+    if get_origin(tp) is tuple:  # Tuple[X, ...]
+        item = _decoder(get_args(tp)[0])
+        return tuple if item is None else (lambda v: tuple(item(x) for x in v))
+    return None
+
+
+@functools.cache
+def _decoders(cls) -> tuple:
+    """({field: decoder}, required field names) for ``cls``, resolved once."""
+    hints = get_type_hints(cls)
+    return (
+        {f.name: _decoder(hints[f.name]) for f in fields(cls)},
+        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
+    )
+
+
+def from_json_dict(cls, d: Mapping):
+    """Build ``cls`` from its dict form (see the module docstring)."""
+    decoders, required = _decoders(cls)
+    kwargs = {}
+    for key, value in d.items():
+        if key in decoders:
+            decode = decoders[key]
+            kwargs[key] = value if decode is None else decode(value)
+        elif key not in _NON_FIELD_KEYS:
+            _fail(cls.__name__, key, "unknown key")
+    for name in required:
+        if name not in kwargs:
+            _fail(cls.__name__, name, "missing key")
+    return cls(**kwargs)
 
 
 def readonly_float64(values) -> np.ndarray:
@@ -153,24 +240,6 @@ class TrafficSeries:
             values=self.values[start_index:end_index],
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "network_id": self.network_id,
-            "start": utc_to_iso(self.start),
-            "step_seconds": self.step_seconds,
-            "values": [None if math.isnan(v) else v for v in self.values.tolist()],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrafficSeries":
-        return cls(
-            network_id=d["network_id"],
-            start=utc_from_iso(d["start"]),
-            step_seconds=d["step_seconds"],
-            values=tuple(float("nan") if v is None else v for v in d["values"]),
-        )
-
 
 @dataclass(frozen=True)
 class SpikeRecord:
@@ -196,27 +265,8 @@ class SpikeRecord:
         if self.peak_z < self.mean_z:
             _fail("SpikeRecord", "peak_z", "must be >= mean_z")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "network_id": self.network_id,
-            "start": utc_to_iso(self.start),
-            "end": utc_to_iso(self.end),
-            "peak_z": self.peak_z,
-            "mean_z": self.mean_z,
-            "duration_minutes": self.duration_minutes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SpikeRecord":
-        return cls(
-            network_id=d["network_id"],
-            start=utc_from_iso(d["start"]),
-            end=utc_from_iso(d["end"]),
-            peak_z=d["peak_z"],
-            mean_z=d["mean_z"],
-            duration_minutes=d["duration_minutes"],
-        )
+    to_dict = record_dict
+    from_dict = classmethod(from_json_dict)
 
     def key(self) -> tuple:
         """Identity for joining spikes across files (no stored id)."""
@@ -259,35 +309,8 @@ class ContentRecord:
         if not has_text:
             _fail("ContentRecord", "body_text", "record is empty after cleaning")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "record_id": self.record_id,
-            "source": self.source,
-            "url": self.url,
-            "created_at": utc_to_iso(self.created_at),
-            "fetched_at": utc_to_iso(self.fetched_at),
-            "title": self.title,
-            "body_text": self.body_text,
-            "comments": list(self.comments),
-            "engagement": self.engagement,
-            "linked_texts": [[u, t] for u, t in self.linked_texts],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ContentRecord":
-        return cls(
-            record_id=d["record_id"],
-            source=d["source"],
-            url=d["url"],
-            created_at=utc_from_iso(d["created_at"]),
-            fetched_at=utc_from_iso(d["fetched_at"]),
-            title=d["title"],
-            body_text=d["body_text"],
-            comments=tuple(d["comments"]),
-            engagement=d["engagement"],
-            linked_texts=tuple((u, t) for u, t in d["linked_texts"]),
-        )
+    to_dict = record_dict
+    from_dict = classmethod(from_json_dict)
 
 
 # -- events ------------------------------------------------------------------
@@ -313,26 +336,6 @@ class EventDraft:
             object.__setattr__(self, "time", UNKNOWN_TIME)
         object.__setattr__(self, "flags", tuple(self.flags))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "headline": self.headline,
-            "date": self.date,
-            "time": self.time,
-            "source_record": self.source_record,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EventDraft":
-        return cls(
-            headline=d["headline"],
-            date=d["date"],
-            time=d["time"],
-            source_record=d["source_record"],
-            flags=tuple(d.get("flags", ())),
-        )
-
 
 @dataclass(frozen=True)
 class SemanticSignature:
@@ -354,12 +357,8 @@ class SemanticSignature:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "cluster_ids", ids)
 
-    def to_dict(self) -> dict:
-        return {"levels": list(self.levels), "cluster_ids": list(self.cluster_ids)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SemanticSignature":
-        return cls(levels=tuple(d["levels"]), cluster_ids=tuple(d["cluster_ids"]))
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
 
 def _check_relevance(name: str, m: Mapping) -> dict:
@@ -454,8 +453,8 @@ class EventAbstraction:
         object.__setattr__(self, "low_confidence_fields", tuple(self.low_confidence_fields))
         object.__setattr__(self, "flags", tuple(self.flags))
 
-    # fields filled by ensemble inference (everything not fixed on creation
-    # and not the clustering-derived signature)
+    # fields filled by ensemble inference: the names of
+    # ``inference.fields.INFERABLE_SPECS``, in order (a test pins the two)
     INFERABLE_FIELDS = (
         "category",
         "entities",
@@ -472,56 +471,8 @@ class EventAbstraction:
         """True when every Table-derived metadata field has been filled."""
         return all(getattr(self, f) is not None for f in self.INFERABLE_FIELDS)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "event_id": self.event_id,
-            "date": self.date,
-            "time": self.time,
-            "description": self.description,
-            "source_records": list(self.source_records),
-            "first_mentioned_at": utc_to_iso(self.first_mentioned_at),
-            "event_time_utc": utc_to_iso(self.event_time_utc) if self.event_time_utc else None,
-            "category": self.category,
-            "entities": list(self.entities) if self.entities is not None else None,
-            "platforms": list(self.platforms) if self.platforms is not None else None,
-            "data_per_user_mb": self.data_per_user_mb,
-            "audience_size": self.audience_size,
-            "continent_relevance": self.continent_relevance,
-            "nation_relevance": self.nation_relevance,
-            "spike_duration_hours": self.spike_duration_hours,
-            "likelihood": self.likelihood,
-            "semantic_signature": self.semantic_signature.to_dict() if self.semantic_signature else None,
-            "merge_history": list(self.merge_history),
-            "low_confidence_fields": list(self.low_confidence_fields),
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EventAbstraction":
-        sig = d.get("semantic_signature")
-        return cls(
-            event_id=d["event_id"],
-            date=d["date"],
-            time=d["time"],
-            description=d["description"],
-            source_records=tuple(d["source_records"]),
-            first_mentioned_at=utc_from_iso(d["first_mentioned_at"]),
-            event_time_utc=utc_from_iso(d["event_time_utc"]) if d.get("event_time_utc") else None,
-            category=d.get("category"),
-            entities=tuple(d["entities"]) if d.get("entities") is not None else None,
-            platforms=tuple(d["platforms"]) if d.get("platforms") is not None else None,
-            data_per_user_mb=d.get("data_per_user_mb"),
-            audience_size=d.get("audience_size"),
-            continent_relevance=d.get("continent_relevance"),
-            nation_relevance=d.get("nation_relevance"),
-            spike_duration_hours=d.get("spike_duration_hours"),
-            likelihood=d.get("likelihood"),
-            semantic_signature=SemanticSignature.from_dict(sig) if sig else None,
-            merge_history=tuple(d.get("merge_history", ())),
-            low_confidence_fields=tuple(d.get("low_confidence_fields", ())),
-            flags=tuple(d.get("flags", ())),
-        )
+    to_dict = record_dict
+    from_dict = classmethod(from_json_dict)
 
 
 class ConsensusFailed:
@@ -576,31 +527,17 @@ class InferenceRun:
         return self.consensus_value is FAILED
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "event_id": self.event_id,
-            "field_name": self.field_name,
-            "run_outputs": [_jsonable(v) for v in self.run_outputs],
-            "consensus_value": None if self.failed else _jsonable(self.consensus_value),
-            "consensus_failed": self.failed,
-            "attempts": self.attempts,
-            "ensemble_size": self.ensemble_size,
-        }
+        # FAILED is stored as a null value plus a flag
+        d = record_dict(self)
+        d["consensus_failed"] = self.failed
+        if self.failed:
+            d["consensus_value"] = None
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "InferenceRun":
-        value = FAILED if d.get("consensus_failed") else d["consensus_value"]
-        return cls(
-            event_id=d["event_id"],
-            field_name=d["field_name"],
-            run_outputs=tuple(d["run_outputs"]),
-            consensus_value=value,
-            attempts=d["attempts"],
-            ensemble_size=d.get("ensemble_size", 3),
-        )
+        d = dict(d)
+        if d.pop("consensus_failed", False):
+            d["consensus_value"] = FAILED
+        return from_json_dict(cls, d)
 
-
-def _jsonable(v: Any) -> Any:
-    if isinstance(v, tuple):
-        return list(v)
-    return v

@@ -14,7 +14,7 @@ import logging
 import time as time_mod
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -56,7 +56,7 @@ from .inference.backends import (
 )
 from .inference.enrich import FixtureRetriever, HttpRetriever, enrich_event
 from .inference.extract import ExtractionError, build_event, extract_events
-from .model import ContentRecord, EventAbstraction, SpikeRecord, utc_from_iso
+from .model import ContentRecord, EventAbstraction, SpikeRecord, from_json_dict, to_json_dict, utc_from_iso
 from .semantics import (
     EventEmbeddings,
     HashingStubEmbedder,
@@ -124,13 +124,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        raw = dict(raw)
-        if "filter" in raw:
-            raw["filter"] = FilterConfig.from_dict(raw["filter"])
-        for key in ("levels", "report_bins"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        cfg = cls(**raw)
+        cfg = from_json_dict(cls, raw)
         if base_dir is not None:
             for attr in ("traffic_csv", "corpus_path", "labels_path", "out_dir"):
                 value = getattr(cfg, attr)
@@ -142,16 +136,7 @@ class PipelineConfig:
                     section["fixtures_path"] = str(base_dir / p)
         return cfg
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, FilterConfig):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+    to_dict = to_json_dict
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

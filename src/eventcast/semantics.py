@@ -20,6 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .inference.backends import thread_pool
+from .inference.fields import INFERABLE_SPECS
 from .model import EventAbstraction, SemanticSignature
 from .remote import JsonEndpoint, RemoteError
 from .store import EventStore
@@ -263,7 +264,7 @@ def merge_events(
         first_mentioned_at=min(e.first_mentioned_at for e in members),
         merge_history=survivor.merge_history + absorbed_ids,
         # non-fixed metadata is stale: re-infer with the expanded records
-        **dict.fromkeys(EventAbstraction.INFERABLE_FIELDS),
+        **dict.fromkeys(spec.field_name for spec in INFERABLE_SPECS),
         semantic_signature=None,
         low_confidence_fields=(),
     )

@@ -124,7 +124,6 @@ class JsonlStore(_AppendLog):
             raise InvariantError(self.record_type.__name__, "type",
                                  f"expected {self.record_type.__name__}, got {type(record).__name__}")
         d = record.to_dict()
-        d.setdefault("schema_version", SCHEMA_VERSION)
         if self.id_field:
             stored_id = d[self.id_field]
         else:

@@ -24,7 +24,7 @@ from .inference.enrich import ContextBundle, FixtureRetriever, enrich_with_conte
 from .inference.extract import build_event
 from .inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
 from .inference.prompts import build_extract_prompt, build_field_prompt
-from .model import EventDraft, TrafficSeries, utc_from_iso, utc_to_iso
+from .model import EventDraft, TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
 from .semantics import EventEmbeddings, HashingStubEmbedder, embed_event, find_duplicates, merge_events
 
 SPIKE_Z_FLOOR_FACTOR = 0.05  # mirrors the scoring std floor
@@ -36,6 +36,9 @@ class SynthNetwork:
     country: str
     continent: str
     base_mbps: float = 800.0
+
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -73,35 +76,16 @@ class PlantedEvent:
     def end_time(self) -> datetime:
         return self.event_time + timedelta(minutes=self.duration_min)
 
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name, "headline": self.headline, "category": self.category,
-            "event_time": utc_to_iso(self.event_time), "magnitude_z": self.magnitude_z,
-            "duration_min": self.duration_min, "lead_time_days": self.lead_time_days,
-            "network_id": self.network_id, "entities": list(self.entities),
-            "platforms": list(self.platforms), "community": self.community,
-            "audience_size": self.audience_size, "data_per_user_mb": self.data_per_user_mb,
-            "continent_relevance": self.continent_relevance,
-            "nation_relevance": self.nation_relevance, "likelihood": self.likelihood,
-            "n_posts": self.n_posts, "sub_threshold": self.sub_threshold,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d) -> "PlantedEvent":
-        d = dict(d)
-        d["event_time"] = utc_from_iso(d["event_time"])
-        d["entities"] = tuple(d.get("entities", ()))
-        d["platforms"] = tuple(d.get("platforms", ()))
-        return cls(**d)
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
 
 @dataclass(frozen=True)
 class Scenario:
     seed: int
     duration_weeks: int
-    networks: tuple
-    planted_events: tuple
+    networks: Tuple[SynthNetwork, ...]
+    planted_events: Tuple[PlantedEvent, ...]
     noise_std_fraction: float = 0.02
     start: datetime = datetime(2025, 6, 2, tzinfo=timezone.utc)  # a Monday
     step_seconds: int = 300
@@ -132,36 +116,8 @@ class Scenario:
     def eval_start(self) -> datetime:
         return self.start + timedelta(weeks=self.history_weeks)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration_weeks": self.duration_weeks,
-            "networks": [vars(n) for n in self.networks],
-            "planted_events": [e.to_dict() for e in self.planted_events],
-            "noise_std_fraction": self.noise_std_fraction,
-            "start": utc_to_iso(self.start),
-            "step_seconds": self.step_seconds,
-            "history_weeks": self.history_weeks,
-            "min_category_count": self.min_category_count,
-            "detection_z": self.detection_z,
-            "detection_min_duration": self.detection_min_duration,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "Scenario":
-        return cls(
-            seed=d["seed"],
-            duration_weeks=d["duration_weeks"],
-            networks=tuple(SynthNetwork(**n) for n in d["networks"]),
-            planted_events=tuple(PlantedEvent.from_dict(e) for e in d["planted_events"]),
-            noise_std_fraction=d.get("noise_std_fraction", 0.02),
-            start=utc_from_iso(d["start"]) if "start" in d else datetime(2025, 6, 2, tzinfo=timezone.utc),
-            step_seconds=d.get("step_seconds", 300),
-            history_weeks=d.get("history_weeks", 4),
-            min_category_count=d.get("min_category_count", 3),
-            detection_z=d.get("detection_z", 2.0),
-            detection_min_duration=d.get("detection_min_duration", 20.0),
-        )
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
     @classmethod
     def load(cls, path) -> "Scenario":

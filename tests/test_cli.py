@@ -114,7 +114,7 @@ class TestDetectSpikes:
 class TestIngest:
     def test_standalone(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "records.jsonl"
-        code = main(["ingest", "--connector", "file",
+        code = main(["ingest",
                      "--corpus", str(synth_dir / "posts.jsonl"),
                      "--community", "matchday", "--community", "screenroom",
                      "--community", "patchnotes", "--community", "encore",
@@ -132,7 +132,7 @@ class TestStageChain:
         matches = tmp_path / "matches.jsonl"
         models = tmp_path / "models.json"
 
-        assert main(["ingest", "--connector", "file",
+        assert main(["ingest",
                      "--corpus", str(synth_dir / "posts.jsonl"),
                      "--community", "matchday", "--community", "screenroom",
                      "--community", "patchnotes", "--community", "encore",

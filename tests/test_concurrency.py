@@ -237,8 +237,8 @@ class TestMergePool:
     # single merge never fills the pool and only overlapping merges can
     CAP = 32
 
-    def test_cap_holds_and_merges_beat_half_of_one_merge_at_a_time(self, merges_config,
-                                                                  tmp_path, monkeypatch):
+    def test_cap_holds_and_all_six_merges_run_at_once(self, merges_config, tmp_path,
+                                                      monkeypatch):
         monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", self.CAP)
         stub = StubLlmBackend.from_file(merges_config.llm["fixtures_path"])
         retriever = FixtureRetriever.from_file(merges_config.retriever["fixtures_path"])
@@ -251,24 +251,32 @@ class TestMergePool:
         def dedup(out_dir):
             llm = SlowBackend(stub)
             with fresh_stores(out_dir) as stores:
-                start = time.perf_counter()
                 survivors, _, summary = stage_dedup(
                     merges_config, events, build_embedder(merges_config), stores["events"],
                     stores["runs"], llm=llm, retriever=retriever, records=records)
-                return survivors, summary, llm, time.perf_counter() - start
+            return survivors, summary, llm, _artifacts(out_dir)
 
-        survivors, summary, llm, elapsed = dedup(tmp_path / "concurrent")
+        enrich_event = pipeline.enrich_event
+        # every re-inference waits here until all six have started; one
+        # that runs alone times out and breaks the barrier, failing the stage
+        all_six = threading.Barrier(6, timeout=30)
+
+        def overlapping(*args, **kwargs):
+            all_six.wait()
+            return enrich_event(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "enrich_event", overlapping)
+        survivors, summary, llm, stored = dedup(tmp_path / "concurrent")
         assert summary["duplicate_groups"] == 6
         assert 1 < llm.max_inflight <= self.CAP
 
         one_at_a_time = threading.Lock()
-        enrich_event = pipeline.enrich_event
 
         def serialized(*args, **kwargs):
             with one_at_a_time:
                 return enrich_event(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "enrich_event", serialized)
-        serial_survivors, _, serial_llm, serial_elapsed = dedup(tmp_path / "serial")
+        serial_survivors, _, serial_llm, serial_stored = dedup(tmp_path / "serial")
         assert serial_survivors == survivors and serial_llm.calls == llm.calls
-        assert elapsed < 0.5 * serial_elapsed
+        assert serial_stored == stored and len(stored) == 2

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import math
+import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +16,16 @@ from eventcast.model import (
     InvariantError,
     SemanticSignature,
     SpikeRecord,
-    TrafficSeries,
     derive_event_time_utc,
     utc_from_iso,
     utc_to_iso,
 )
+
+from eventcast.correlate import SpikeEventMatch
+from eventcast.inference.fields import INFERABLE_SPECS
+from eventcast.ingest import FilterConfig
+from eventcast.pipeline import PipelineConfig
+from eventcast.synth import PlantedEvent, Scenario, SynthNetwork
 
 from .conftest import MONDAY, make_event, make_record, make_series
 
@@ -27,13 +33,6 @@ UTC = timezone.utc
 
 
 class TestTrafficSeries:
-    def test_round_trip(self):
-        series = make_series([1.0, 2.0, float("nan"), 3.0])
-        again = TrafficSeries.from_dict(series.to_dict())
-        assert again.network_id == series.network_id
-        assert again.start == series.start
-        assert again.values[0] == 1.0 and math.isnan(again.values[2])
-
     def test_rejects_negative_sample(self):
         with pytest.raises(InvariantError, match="values"):
             make_series([1.0, -2.0])
@@ -137,6 +136,9 @@ class TestEventAbstraction:
         assert EventAbstraction.from_dict(event.to_dict()) == event
         assert not event.is_enriched()
 
+    def test_inferable_fields_match_the_registry(self):
+        assert EventAbstraction.INFERABLE_FIELDS == tuple(s.field_name for s in INFERABLE_SPECS)
+
     def test_likelihood_bounds(self):
         with pytest.raises(InvariantError, match="likelihood"):
             make_event(likelihood=11)
@@ -220,3 +222,58 @@ def test_first_mentioned_never_after_source_creation():
     record = make_record(created_at=MONDAY)
     event = make_event(first_mentioned_at=record.created_at)
     assert event.first_mentioned_at <= record.created_at
+
+
+# One line per codec type, as the format was first written: a full event
+# (signature, relevance maps) and a bare one (None fields), a failed run
+# and runs with list and map values, a match, the scenario types and the
+# pipeline config.
+RECORDS_V1 = Path(__file__).parent / "data" / "records_v1.jsonl"
+CODEC_TYPES = {cls.__name__: cls for cls in (
+    SpikeRecord, ContentRecord, SemanticSignature, EventAbstraction, InferenceRun,
+    SpikeEventMatch, FilterConfig, SynthNetwork, PlantedEvent, Scenario, PipelineConfig)}
+
+
+def _golden_lines():
+    with open(RECORDS_V1, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _golden(type_name: str) -> dict:
+    return next(line["dict"] for line in _golden_lines() if line["type"] == type_name)
+
+
+class TestRecordFormat:
+    def test_every_type_is_covered(self):
+        assert {line["type"] for line in _golden_lines()} == set(CODEC_TYPES)
+
+    @pytest.mark.parametrize("line", _golden_lines(),
+                             ids=lambda line: line["type"])
+    def test_from_dict_then_to_dict_gives_the_same_json(self, line):
+        again = CODEC_TYPES[line["type"]].from_dict(line["dict"]).to_dict()
+        assert json.dumps(again, sort_keys=True) == json.dumps(line["dict"], sort_keys=True)
+
+    def test_failed_consensus_reads_back_as_failed(self):
+        runs = [InferenceRun.from_dict(line["dict"]) for line in _golden_lines()
+                if line["type"] == "InferenceRun"]
+        assert [run.failed for run in runs] == [True, False, False]
+
+    def test_unknown_key_is_rejected_by_name(self):
+        with pytest.raises(InvariantError, match=r"SpikeRecord\.peak_zz: unknown key"):
+            SpikeRecord.from_dict({**_golden("SpikeRecord"), "peak_zz": 1.0})
+
+    def test_missing_optional_key_takes_its_default(self):
+        d = _golden("EventAbstraction")
+        del d["category"], d["merge_history"]
+        event = EventAbstraction.from_dict(d)
+        assert event.category is None and event.merge_history == ()
+
+    def test_missing_required_key_is_rejected_by_name(self):
+        d = _golden("SpikeRecord")
+        del d["start"]
+        with pytest.raises(InvariantError, match=r"SpikeRecord\.start: missing key"):
+            SpikeRecord.from_dict(d)
+
+    def test_stored_id_is_ignored(self):
+        d = _golden("InferenceRun")
+        assert InferenceRun.from_dict({**d, "stored_id": "run-000001"}).to_dict() == d

@@ -102,6 +102,12 @@ class TestFullRun:
             assert counts["bytes"] == len(data)
             assert counts["lines"] == data.count(b"\n") == len(data.splitlines())
 
+    def test_every_stored_line_carries_the_schema_version(self, default_run):
+        _, config, _ = default_run
+        for kind in ("events", "records", "runs", "spikes", "matches"):
+            lines = (Path(config.out_dir) / f"{kind}.jsonl").read_text(encoding="utf-8").splitlines()
+            assert lines and all(json.loads(line)["schema_version"] == 1 for line in lines), kind
+
     def test_feature_rows_per_event_network(self, default_run):
         base, config, _ = default_run
         lines = (Path(config.out_dir) / "features.csv").read_text().strip().splitlines()
