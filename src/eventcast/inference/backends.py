@@ -7,9 +7,12 @@ into its fixture lookup key.
 
 Inference keeps at most ``MAX_CONCURRENT_REQUESTS`` remote requests in
 flight: every LLM, retriever and embedder call runs on a ``thread_pool``
-worker. Each HTTP client sends through its own ``remote.JsonEndpoint``,
-which reuses an idle keep-alive connection or opens one more, so a client
-holds at most one connection per request in flight, and opens at most
+worker. A backend whose calls wait on the network says so with a true
+``waits_on_network`` class attribute; a stage given none of those runs
+every call inline on the caller's thread instead. Each HTTP client sends
+through its own ``remote.JsonEndpoint``, which reuses an idle keep-alive
+connection or opens one more, so a client holds at most one connection
+per request in flight, and opens at most
 ``remote.MAX_OPENING_CONNECTIONS`` at a time.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Protocol
@@ -27,31 +30,47 @@ from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 
 
 # stage_infer and stage_dedup run as many event threads again, so a stage
-# runs twice this many threads. On the remote_services benchmark workload
-# (15 ms per request, 2 cores, seed 1) the median of six runs took 2.26 s
-# at 8, 1.95 s at 12, 1.36 s at 16, 1.22 s at 24 and 1.32 s at 32. Up to 16
-# the run waits on the cap. Past it the curve flattens: the dedup stage
-# (0.27-0.34 s at each cap) and the CPU of client and server on 2 cores
-# take over, while the threads per stage keep growing, local stub backends
-# pay for them in thread switches (infer on traffic_wide: 0.140 s at 8,
-# 0.158 s at 16), and each extra round a faster run fits into the
-# benchmark's 60 s raises its peak_rss_mb, which reads the driver's memory
-# (ROADMAP item 1). However high the cap, at most
-# remote.MAX_OPENING_CONNECTIONS new connections to one address wait for a
-# first answer at a time.
-MAX_CONCURRENT_REQUESTS = 16
+# that waits on the network runs twice this many threads; in-process
+# backends never start one (see thread_pool). On the remote_services
+# benchmark workload's inputs (15 ms per request, seed 1, 2 cores, one BLAS
+# thread, a fresh emulator per run) the median of five interleaved runs took
+# 1.16 s at 16, 0.97 s at 24, 0.88 s at 32, 0.93 s at 48 and 0.93 s at 64.
+# The infer stage took 0.81, 0.61, 0.59, 0.57 and 0.58 s, so it flattens at
+# 32, while dedup stayed near 0.21 s at every cap: each merge survivor's
+# re-inference is a chain of request rounds that wait on the one before.
+# However high the cap, at most remote.MAX_OPENING_CONNECTIONS new
+# connections to one address wait for a first answer at a time.
+MAX_CONCURRENT_REQUESTS = 32
+
+
+class InlineExecutor(Executor):
+    """Runs each call at ``submit``, on the caller's thread, and returns a
+    done future holding its result or exception."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 @contextmanager
-def thread_pool(name: str) -> Iterator[ThreadPoolExecutor]:
-    """``MAX_CONCURRENT_REQUESTS`` worker threads; on exit, queued work is
-    cancelled and running work awaited.
+def thread_pool(name: str, *backends) -> Iterator[Executor]:
+    """``MAX_CONCURRENT_REQUESTS`` worker threads when any of ``backends``
+    waits on the network, else an ``InlineExecutor``; on exit, queued work
+    is cancelled and running work awaited.
 
     Inference sends every remote request from a "request" pool whose tasks
     never wait on other tasks, so work that waits on them (an event's
     enrichment) may run on the caller's thread or on a second pool without
-    deadlock.
+    deadlock. Inline, every call runs in the order it was submitted, which
+    is the order of a one-request-at-a-time run.
     """
+    if not any(getattr(backend, "waits_on_network", False) for backend in backends):
+        yield InlineExecutor()
+        return
     pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENT_REQUESTS,
                               thread_name_prefix=f"eventcast-{name}")
     try:
@@ -114,6 +133,8 @@ class HttpLlmBackend:
     "output"/"text" as fallbacks). Secrets come from the environment,
     never from config files.
     """
+
+    waits_on_network = True
 
     def __init__(self, config: LlmBackendConfig, auth_token_env: Optional[str] = None):
         self.config = config

@@ -83,6 +83,8 @@ class HttpRetriever:
     {"title", "text", "url"} objects, best match first.
     """
 
+    waits_on_network = True
+
     def __init__(self, base_url: str, timeout: float = 15.0):
         self.endpoint = JsonEndpoint(base_url, timeout=timeout)
 
@@ -213,13 +215,13 @@ def infer_field(
     """Infer one metadata field by ensemble consensus.
 
     Each attempt requests ensemble_size independent completions (same
-    prompt, distinct run salts) concurrently on a ``thread_pool("request")``,
-    parses them per the field's data type (failures abstain), and
-    aggregates. A failed consensus triggers a fresh attempt, up to
-    max_attempts; the returned run keeps every parsed output plus the
-    final consensus value or FAILED.
+    prompt, distinct run salts) concurrently on a
+    ``thread_pool("request", llm)``, parses them per the field's data type
+    (failures abstain), and aggregates. A failed consensus triggers a
+    fresh attempt, up to max_attempts; the returned run keeps every parsed
+    output plus the final consensus value or FAILED.
     """
-    with thread_pool("request") as pool:
+    with thread_pool("request", llm) as pool:
         return _infer_fields(event, [spec], context, llm, pool, ensemble_size, max_attempts,
                              records, timeout_retries)[0]
 
@@ -243,11 +245,13 @@ def enrich_event(
     (``prompts.event_summary``), and retrieval only its entities and
     description, so each run of consecutive RAG-backed fields shares one
     retrieval and is inferred together. Every request runs on ``pool`` (a
-    fresh ``thread_pool("request")`` when None); runs come back in field order.
+    fresh ``thread_pool("request", llm, retriever)`` when None); runs come
+    back in field order.
     """
     specs = [spec for spec in field_specs if getattr(event, spec.field_name) is None]
     runs: List[InferenceRun] = []
-    with nullcontext(pool) if pool is not None else thread_pool("request") as pool:
+    with nullcontext(pool) if pool is not None else \
+            thread_pool("request", llm, retriever) as pool:
         for uses_rag, group in groupby(specs, key=lambda spec: spec.uses_rag):
             group = list(group)
             context, batches = EMPTY_BUNDLE, [[spec] for spec in group]

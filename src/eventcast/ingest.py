@@ -13,8 +13,6 @@ import json
 import logging
 import threading
 import time as time_mod
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -301,6 +299,8 @@ class HttpPageFetcher:
     """
 
     def __init__(self, timeout: float = 20.0, rate_limiter: Optional[TokenBucket] = None):
+        import urllib.request  # only here, so a run without HTTP pages never loads it
+
         self.timeout = timeout
         self.rate_limiter = rate_limiter
         proxies = {scheme: url for scheme, url in urllib.request.getproxies().items()
@@ -313,6 +313,8 @@ class HttpPageFetcher:
             self._opener.add_handler(handler)
 
     def fetch(self, url: str) -> str:
+        import urllib.error
+
         if urlsplit(url).scheme not in ("http", "https"):
             raise ValueError(f"not an http(s) URL: {url!r}")
         if self.rate_limiter is not None:

@@ -125,6 +125,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
         cfg = from_json_dict(cls, raw)
+        # copies, so that resolving fixtures_path below leaves the caller's dicts alone
+        cfg.llm, cfg.retriever = dict(cfg.llm), dict(cfg.retriever)
         if base_dir is not None:
             for attr in ("traffic_csv", "corpus_path", "labels_path", "out_dir"):
                 value = getattr(cfg, attr)
@@ -261,7 +263,8 @@ def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retri
     """Extract, build and enrich each record's events; a repeated event id is skipped.
 
     Records are extracted and events enriched concurrently, at most
-    ``MAX_CONCURRENT_REQUESTS`` requests at a time, and stored in record and
+    ``MAX_CONCURRENT_REQUESTS`` requests at a time (inline, one at a time,
+    when neither backend waits on the network), and stored in record and
     draft order. A record whose extraction fails is logged, counted and
     reported; the run goes on unless every record fails. A missing stub
     fixture, or any other error, fails the stage after storing what a
@@ -272,7 +275,8 @@ def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retri
     seen_ids = set()
     drafts_total = 0
     flagged_past = 0
-    with thread_pool("request") as request_workers, thread_pool("event") as event_workers:
+    with thread_pool("request", llm, retriever) as request_workers, \
+            thread_pool("event", llm, retriever) as event_workers:
         extractions = [request_workers.submit(extract_events, record, llm) for record in records]
         enrichments = []
         try:
@@ -341,7 +345,8 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
     live = {e.event_id: e for e in events}
     merges = [merge_events([live[eid] for eid in group_ids]) for group_ids in groups]
     records_by_id = {r.record_id: r for r in records}
-    with thread_pool("request") as request_workers, thread_pool("event") as event_workers:
+    with thread_pool("request", llm, retriever) as request_workers, \
+            thread_pool("event", llm, retriever) as event_workers:
         enrichments = [] if llm is None else [event_workers.submit(
             enrich_event, merged, llm, retriever,
             records=[records_by_id[rid] for rid in merged.source_records if rid in records_by_id],

@@ -31,14 +31,14 @@ system's default trust store. Credentials are never read from
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import os
-import ssl
 import threading
 from typing import Dict, Optional, Tuple
 from urllib.parse import unquote, urlencode, urlsplit
-from urllib.request import getproxies, proxy_bypass
+
+# http.client, ssl and urllib.request (several MB between them) are imported
+# where an endpoint is built or used, so a run on local backends loads none.
 
 # per-endpoint request counts and the most requests it had in flight at
 # once, reported per service in run_report.json
@@ -80,7 +80,12 @@ class RemoteTimeout(RemoteError):
 class JsonEndpoint:
     """GET or POST JSON to one http(s) URL over reused connections."""
 
+    waits_on_network = True  # see inference.backends.thread_pool
+
     def __init__(self, url: str, timeout: float, headers: Optional[Dict[str, str]] = None):
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
+
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http(s) URL: {url!r}")
@@ -120,6 +125,8 @@ class JsonEndpoint:
         connection, a status outside 2xx or a body that is not JSON.
         Redirects are not followed: a 3xx status is a RemoteError.
         """
+        import http.client
+
         path = self._path
         if params:
             path += ("&" if "?" in path else "?") + urlencode(params)
@@ -217,6 +224,8 @@ class JsonEndpoint:
                 self._openings.changed.notify_all()
 
     def _connect(self) -> http.client.HTTPConnection:
+        import http.client
+
         host, port = self._address
         if self._tls_context is not None:
             conn = http.client.HTTPSConnection(host, port, timeout=self.timeout,

@@ -104,6 +104,8 @@ class HashingStubEmbedder:
 class HttpEmbedder:
     """JSON-over-HTTP encoder: POST {model, input} -> {"vector": [...]}."""
 
+    waits_on_network = True
+
     def __init__(self, endpoint_url: str, model_name: str, timeout: float = 60.0):
         self.model_name = model_name
         self.endpoint = JsonEndpoint(endpoint_url, timeout=timeout)
@@ -153,10 +155,11 @@ def embed_events(events: Sequence[EventAbstraction], embedder) -> EventEmbedding
     """Embed each event, one matrix row per event in input order; an event
     that cannot be embedded is logged and left out.
 
-    The embedder requests run on a ``thread_pool("request")``, so at most
-    ``MAX_CONCURRENT_REQUESTS`` are in flight. Mixed widths raise ``ValueError``.
+    The embedder requests run on a ``thread_pool("request", embedder)``, so
+    at most ``MAX_CONCURRENT_REQUESTS`` are in flight. Mixed widths raise
+    ``ValueError``.
     """
-    with thread_pool("request") as pool:
+    with thread_pool("request", embedder) as pool:
         futures = [pool.submit(embed_event, event, embedder) for event in events]
         rows = {}
         for event, future in zip(events, futures):

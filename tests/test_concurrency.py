@@ -1,8 +1,10 @@
 """Concurrent inference against its sequential oracle.
 
-With ``MAX_CONCURRENT_REQUESTS`` set to 1 every request runs one after
-another, in the order the sequential implementation made them; that run
-is the reference the concurrent default must reproduce byte for byte.
+In-process stub backends run every request inline, one after another in
+the order the sequential implementation made them; that run is the
+reference. Wrapped in ``OnTheNetwork``, which declares that it waits on the
+network, the same backends run on the thread pools at the default
+``MAX_CONCURRENT_REQUESTS``, and must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ import pytest
 
 import eventcast.inference.backends as backends
 import eventcast.pipeline as pipeline
-from eventcast.inference.backends import StubLlmBackend, prompt_key
-from eventcast.inference.enrich import FixtureRetriever, enrich_with_context
+from eventcast.inference.backends import (
+    HttpLlmBackend,
+    InlineExecutor,
+    StubLlmBackend,
+    prompt_key,
+)
+from eventcast.inference.enrich import FixtureRetriever, HttpRetriever, enrich_with_context
 from eventcast.inference.fields import INFERABLE_SPECS, apply_consensus, parse_value
 from eventcast.inference.prompts import build_field_prompt
 from eventcast.pipeline import (
@@ -31,6 +38,8 @@ from eventcast.pipeline import (
     stage_infer,
     stage_ingest,
 )
+from eventcast.remote import JsonEndpoint
+from eventcast.semantics import HttpEmbedder
 from eventcast.store import fresh_stores
 from eventcast.synth import default_scenario
 
@@ -68,26 +77,62 @@ def _lines(path: Path) -> list:
     return path.read_text(encoding="utf-8").splitlines()
 
 
+class OnTheNetwork:
+    """An in-process backend that declares it waits on the network, so the
+    stages given it run on thread pools; it adds no latency, and records the
+    names of the threads its calls ran on."""
+
+    waits_on_network = True
+
+    def __init__(self, inner, threads: set):
+        self.inner, self.threads = inner, threads
+
+    def send(self, prompt: str, salt: str = "") -> str:
+        self.threads.add(threading.current_thread().name)
+        return self.inner.send(prompt, salt)
+
+    def embed(self, text: str):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.embed(text)
+
+    def search(self, query: str, max_results: int):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.search(query, max_results)
+
+
+def _threaded(monkeypatch) -> set:
+    """Wrap the LLM, embedder and retriever that ``run_pipeline`` builds in
+    ``OnTheNetwork``; returns the set their calls add thread names to."""
+    threads: set = set()
+    for name in ("build_llm", "build_embedder", "build_retriever"):
+        def wrapped(config, build=getattr(pipeline, name)):
+            return OnTheNetwork(build(config), threads)
+        monkeypatch.setattr(pipeline, name, wrapped)
+    return threads
+
+
 class TestSequentialOracle:
-    def test_cap_of_one_and_default_leave_identical_artifacts(self, scenario_config, tmp_path,
-                                                              monkeypatch):
-        concurrent = _run(scenario_config, tmp_path / "concurrent")
-        monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", 1)
-        sequential = _run(scenario_config, tmp_path / "sequential")
+    def _compare(self, config, tmp_path, monkeypatch) -> dict:
+        """Run ``config`` inline and threaded; returns the inline report."""
+        sequential = _run(config, tmp_path / "sequential")
+        with monkeypatch.context() as patch:
+            threads = _threaded(patch)
+            concurrent = _run(config, tmp_path / "concurrent")
+        # every backend call ran on a request pool thread
+        assert threads and all(name.startswith("eventcast-request_") for name in threads)
         assert concurrent == sequential and sequential["status"] == "ok"
         artifacts = _artifacts(tmp_path / "sequential")
         assert len(artifacts) == 10
         assert _artifacts(tmp_path / "concurrent") == artifacts
+        return sequential
 
-    def test_six_merge_groups_at_a_cap_of_one_and_the_default(self, merges_config, tmp_path,
-                                                              monkeypatch):
-        concurrent = _run(merges_config, tmp_path / "concurrent")
-        assert concurrent["stages"]["dedup"]["duplicate_groups"] == 6
-        monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", 1)
-        assert _run(merges_config, tmp_path / "sequential") == concurrent
-        artifacts = _artifacts(tmp_path / "sequential")
-        assert len(artifacts) == 10
-        assert _artifacts(tmp_path / "concurrent") == artifacts
+    def test_inline_stubs_and_the_threaded_default_leave_identical_artifacts(
+            self, scenario_config, tmp_path, monkeypatch):
+        self._compare(scenario_config, tmp_path, monkeypatch)
+
+    def test_six_merge_groups_inline_and_threaded(self, merges_config, tmp_path, monkeypatch):
+        report = self._compare(merges_config, tmp_path, monkeypatch)
+        assert report["stages"]["dedup"]["duplicate_groups"] == 6
 
     def test_a_failed_reinference_leaves_what_one_merge_at_a_time_stored(
             self, merges_config, tmp_path, monkeypatch):
@@ -110,7 +155,6 @@ class TestSequentialOracle:
 
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "enrich_event", recording)
-            patch.setattr(backends, "MAX_CONCURRENT_REQUESTS", 1)
             assert _run(merges_config, tmp_path / "full")["status"] == "ok"
         second = list(reads)[1]
         with open(merges_config.llm["fixtures_path"], "r", encoding="utf-8") as fh:
@@ -122,9 +166,10 @@ class TestSequentialOracle:
         config = dataclasses.replace(merges_config,
                                      llm={"kind": "stub", "fixtures_path": str(fixtures_path)})
 
-        concurrent = _run(config, tmp_path / "concurrent")
-        monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", 1)
         sequential = _run(config, tmp_path / "sequential")
+        with monkeypatch.context() as patch:
+            _threaded(patch)
+            concurrent = _run(config, tmp_path / "concurrent")
         assert concurrent["status"] == sequential["status"] == "failed at dedup"
         assert "no fixture" in concurrent["failures"][0]["error"]
         for name in ("events.jsonl", "runs.jsonl"):
@@ -152,9 +197,11 @@ class TestSequentialOracle:
 
 
 class SlowBackend:
-    """A stub backend that takes 20 ms per call and records the calls in flight."""
+    """A stub backend that takes 20 ms per call, as if waiting on the network,
+    and records the calls in flight."""
 
     LATENCY_S = 0.02
+    waits_on_network = True
 
     def __init__(self, inner: StubLlmBackend):
         self.inner = inner
@@ -174,6 +221,35 @@ class SlowBackend:
         finally:
             with self.lock:
                 self.inflight -= 1
+
+
+class TestInline:
+    def test_a_stub_run_starts_no_thread_pool(self, scenario_config, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run on in-process backends started a thread pool")
+
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", refuse)
+        assert _run(scenario_config, tmp_path / "out")["status"] == "ok"
+
+    @pytest.mark.parametrize("cls", [HttpLlmBackend, HttpEmbedder, HttpRetriever, JsonEndpoint])
+    def test_the_http_clients_wait_on_the_network(self, cls):
+        assert cls.waits_on_network is True
+
+    def test_inline_futures_hold_results_and_exceptions_in_submit_order(self):
+        calls = []
+
+        def call(x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError(x)
+            return 2 * x
+
+        pool = InlineExecutor()
+        done, failed = pool.submit(call, 3), pool.submit(call, x=-1)
+        assert calls == [3, -1] and done.done() and failed.done()
+        assert done.result() == 6
+        with pytest.raises(ValueError):
+            failed.result()
 
 
 class TestRequestPool:

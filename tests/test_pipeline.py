@@ -441,6 +441,22 @@ def test_http_clients_load_no_third_party_http_stack():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_stub_run_loads_no_http_stack(tmp_path):
+    # a process of its own, since the test runner may have loaded them already
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    code = """if True:
+        import sys, eventcast.pipeline as p
+        from eventcast.synth import default_scenario
+        config = p.PipelineConfig.load(p.materialize_scenario(default_scenario(seed=7),
+                                                              sys.argv[1]))
+        assert p.run_pipeline(config)["status"] == "ok"
+        print(sorted({"ssl", "http.client", "urllib.request"} & set(sys.modules)))
+    """
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 class TestEmbeddingPass:
     def test_cluster_reuses_dedup_vectors(self, default_run, tmp_path, monkeypatch):
         _, config, _ = default_run
@@ -538,3 +554,14 @@ class TestConfigRoundTrip:
         path = tmp_path / "pipeline.json"
         config.save(path)
         assert PipelineConfig.load(path) == config
+
+    def test_relative_fixture_paths_resolve_without_touching_the_callers_dicts(self, tmp_path):
+        raw = {"llm": {"kind": "stub", "fixtures_path": "llm.json"},
+               "retriever": {"kind": "fixture", "fixtures_path": "docs.json"}}
+        before = json.loads(json.dumps(raw))
+        config = PipelineConfig.from_dict(raw, base_dir=tmp_path)
+        assert raw == before
+        assert config.llm is not raw["llm"] and config.retriever is not raw["retriever"]
+        assert config.llm["fixtures_path"] == str(tmp_path / "llm.json")
+        assert config.retriever["fixtures_path"] == str(tmp_path / "docs.json")
+

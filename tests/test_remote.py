@@ -178,7 +178,7 @@ class TestConnectionReuse:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost count update
         try:
-            with thread_pool("request") as pool:
+            with thread_pool("request", endpoint) as pool:
                 answers = list(pool.map(lambda i: endpoint.request(params={"i": i}), range(36)))
         finally:
             sys.setswitchinterval(interval)
@@ -195,7 +195,7 @@ class TestConnectionReuse:
         server = serve(json_answer({"ok": True}, delay=0.05))
         endpoints = [JsonEndpoint(f"{server.url}/a", timeout=5),
                      JsonEndpoint(f"{server.url}/b", timeout=5)]
-        with thread_pool("request") as pool:
+        with thread_pool("request", *endpoints) as pool:
             answers = list(pool.map(lambda i: endpoints[i % 2].request(params={"i": i}),
                                     range(32)))
         assert answers == [{"ok": True}] * 32
