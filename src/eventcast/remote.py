@@ -80,8 +80,6 @@ class RemoteTimeout(RemoteError):
 class JsonEndpoint:
     """GET or POST JSON to one http(s) URL over reused connections."""
 
-    waits_on_network = True  # see inference.backends.thread_pool
-
     def __init__(self, url: str, timeout: float, headers: Optional[Dict[str, str]] = None):
         import ssl
         from urllib.request import getproxies, proxy_bypass

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import threading
 from datetime import datetime, timezone
 
 import pytest
 
+import eventcast.pipeline as pipeline
 from eventcast.ingest import RawPost
 from eventcast.model import ContentRecord, EventAbstraction, TrafficSeries
 
@@ -67,3 +69,37 @@ def make_post(post_id="p1", community="matchday", title="Cup final announced",
 @pytest.fixture
 def tmp_store_dir(tmp_path):
     return tmp_path / "stores"
+
+
+class OnTheNetwork:
+    """An in-process backend that declares it waits on the network, so the
+    stages given it run on thread pools; it adds no latency, and records the
+    names of the threads its calls ran on."""
+
+    waits_on_network = True
+
+    def __init__(self, inner, threads: set):
+        self.inner, self.threads = inner, threads
+
+    def send(self, prompt: str, salt: str = "") -> str:
+        self.threads.add(threading.current_thread().name)
+        return self.inner.send(prompt, salt)
+
+    def embed(self, text: str):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.embed(text)
+
+    def search(self, query: str, max_results: int):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.search(query, max_results)
+
+
+def run_on_threads(monkeypatch) -> set:
+    """Wrap the LLM, embedder and retriever that ``run_pipeline`` builds in
+    ``OnTheNetwork``; returns the set their calls add thread names to."""
+    threads: set = set()
+    for name in ("build_llm", "build_embedder", "build_retriever"):
+        def wrapped(config, build=getattr(pipeline, name)):
+            return OnTheNetwork(build(config), threads)
+        monkeypatch.setattr(pipeline, name, wrapped)
+    return threads

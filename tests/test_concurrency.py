@@ -2,9 +2,9 @@
 
 In-process stub backends run every request inline, one after another in
 the order the sequential implementation made them; that run is the
-reference. Wrapped in ``OnTheNetwork``, which declares that it waits on the
-network, the same backends run on the thread pools at the default
-``MAX_CONCURRENT_REQUESTS``, and must reproduce it byte for byte.
+reference. Wrapped in ``conftest.OnTheNetwork``, which declares that it
+waits on the network, the same backends run on the thread pools at the
+default ``MAX_CONCURRENT_REQUESTS``, and must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from eventcast.pipeline import (
     stage_infer,
     stage_ingest,
 )
-from eventcast.remote import JsonEndpoint
 from eventcast.semantics import HttpEmbedder
 from eventcast.store import fresh_stores
 from eventcast.synth import default_scenario
 
-from .conftest import make_event, make_record
+from .conftest import make_event, make_record, run_on_threads
 from .test_pipeline import _artifacts
 
 RAG_SPECS = [spec for spec in INFERABLE_SPECS if spec.uses_rag]
@@ -77,46 +76,12 @@ def _lines(path: Path) -> list:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-class OnTheNetwork:
-    """An in-process backend that declares it waits on the network, so the
-    stages given it run on thread pools; it adds no latency, and records the
-    names of the threads its calls ran on."""
-
-    waits_on_network = True
-
-    def __init__(self, inner, threads: set):
-        self.inner, self.threads = inner, threads
-
-    def send(self, prompt: str, salt: str = "") -> str:
-        self.threads.add(threading.current_thread().name)
-        return self.inner.send(prompt, salt)
-
-    def embed(self, text: str):
-        self.threads.add(threading.current_thread().name)
-        return self.inner.embed(text)
-
-    def search(self, query: str, max_results: int):
-        self.threads.add(threading.current_thread().name)
-        return self.inner.search(query, max_results)
-
-
-def _threaded(monkeypatch) -> set:
-    """Wrap the LLM, embedder and retriever that ``run_pipeline`` builds in
-    ``OnTheNetwork``; returns the set their calls add thread names to."""
-    threads: set = set()
-    for name in ("build_llm", "build_embedder", "build_retriever"):
-        def wrapped(config, build=getattr(pipeline, name)):
-            return OnTheNetwork(build(config), threads)
-        monkeypatch.setattr(pipeline, name, wrapped)
-    return threads
-
-
 class TestSequentialOracle:
     def _compare(self, config, tmp_path, monkeypatch) -> dict:
         """Run ``config`` inline and threaded; returns the inline report."""
         sequential = _run(config, tmp_path / "sequential")
         with monkeypatch.context() as patch:
-            threads = _threaded(patch)
+            threads = run_on_threads(patch)
             concurrent = _run(config, tmp_path / "concurrent")
         # every backend call ran on a request pool thread
         assert threads and all(name.startswith("eventcast-request_") for name in threads)
@@ -168,7 +133,7 @@ class TestSequentialOracle:
 
         sequential = _run(config, tmp_path / "sequential")
         with monkeypatch.context() as patch:
-            _threaded(patch)
+            run_on_threads(patch)
             concurrent = _run(config, tmp_path / "concurrent")
         assert concurrent["status"] == sequential["status"] == "failed at dedup"
         assert "no fixture" in concurrent["failures"][0]["error"]
@@ -231,7 +196,7 @@ class TestInline:
         monkeypatch.setattr(backends, "ThreadPoolExecutor", refuse)
         assert _run(scenario_config, tmp_path / "out")["status"] == "ok"
 
-    @pytest.mark.parametrize("cls", [HttpLlmBackend, HttpEmbedder, HttpRetriever, JsonEndpoint])
+    @pytest.mark.parametrize("cls", [HttpLlmBackend, HttpEmbedder, HttpRetriever])
     def test_the_http_clients_wait_on_the_network(self, cls):
         assert cls.waits_on_network is True
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import urllib.error
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -25,7 +26,6 @@ from eventcast.inference.backends import (
     LlmBackendConfig,
     prompt_key,
     salt_seed,
-    thread_pool,
 )
 from eventcast.inference.enrich import FixtureRetriever, HttpRetriever
 from eventcast.ingest import ConnectorError, HttpJsonConnector, HttpPageFetcher
@@ -178,7 +178,7 @@ class TestConnectionReuse:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost count update
         try:
-            with thread_pool("request", endpoint) as pool:
+            with ThreadPoolExecutor(max_workers=MAX_CONCURRENT_REQUESTS) as pool:
                 answers = list(pool.map(lambda i: endpoint.request(params={"i": i}), range(36)))
         finally:
             sys.setswitchinterval(interval)
@@ -195,7 +195,7 @@ class TestConnectionReuse:
         server = serve(json_answer({"ok": True}, delay=0.05))
         endpoints = [JsonEndpoint(f"{server.url}/a", timeout=5),
                      JsonEndpoint(f"{server.url}/b", timeout=5)]
-        with thread_pool("request", *endpoints) as pool:
+        with ThreadPoolExecutor(max_workers=MAX_CONCURRENT_REQUESTS) as pool:
             answers = list(pool.map(lambda i: endpoints[i % 2].request(params={"i": i}),
                                     range(32)))
         assert answers == [{"ok": True}] * 32

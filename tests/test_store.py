@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import eventcast.inference.backends as backends
 from eventcast.inference.backends import prompt_key
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.model import ContentRecord, InvariantError, SpikeRecord
@@ -27,7 +26,7 @@ from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipelin
 from eventcast.store import EventStore, JsonlStore, fresh_stores
 from eventcast.synth import default_scenario
 
-from .conftest import MONDAY, make_event, make_record
+from .conftest import MONDAY, make_event, make_record, run_on_threads
 
 STORE_FILES = ("records.jsonl", "events.jsonl", "runs.jsonl", "spikes.jsonl")
 
@@ -289,6 +288,8 @@ def _open_files_under(directory: Path) -> list:
 
 def test_a_failed_stage_leaves_what_one_request_at_a_time_stored(complete_run, tmp_path,
                                                                  monkeypatch):
+    # the inline stubs make one request at a time; wrapped as if on the
+    # network, the same stubs run on the request pools at the default cap
     config_path, full_out, _ = complete_run
     config = PipelineConfig.load(config_path)
     records = JsonlStore(full_out / "records.jsonl", ContentRecord).load()
@@ -299,9 +300,11 @@ def test_a_failed_stage_leaves_what_one_request_at_a_time_stored(complete_run, t
     fixtures_path.write_text(json.dumps(fixtures), encoding="utf-8")
     config = dataclasses.replace(config, llm={"kind": "stub", "fixtures_path": str(fixtures_path)})
 
-    concurrent = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "concurrent")))
-    monkeypatch.setattr(backends, "MAX_CONCURRENT_REQUESTS", 1)
     sequential = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "sequential")))
+    with monkeypatch.context() as patch:
+        threads = run_on_threads(patch)
+        concurrent = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "concurrent")))
+    assert threads and all(name.startswith("eventcast-request_") for name in threads)
     assert concurrent["status"] == sequential["status"] == "failed at infer"
     assert concurrent["stores"] == sequential["stores"]
     assert sequential["stores"]["events"]["lines"] > 0
