@@ -74,7 +74,7 @@ print("\ncoverage table (the unexplained spike is an honest miss):")
 header, rows = coverage_table(report)
 print(render_table(header, rows, "csv"))
 
-cdfs = lead_time_cdf(events, bucket_categories=True, min_category_count=1)
+cdfs = lead_time_cdf(events, min_category_count=1)
 print("lead-time CDF table:")
 header, rows = lead_time_table(cdfs)
 print(render_table(header, rows, "csv"))

@@ -36,6 +36,8 @@ from .semantics import EventEmbeddings
 from .store import EventStore, JsonlStore
 from .synth import BUILTIN_SCENARIOS, Scenario
 
+DEFAULTS = PipelineConfig()  # every stage flag's default
+
 
 def cmd_synth(args) -> int:
     if args.scenario in BUILTIN_SCENARIOS:
@@ -54,16 +56,57 @@ def cmd_run(args) -> int:
     return 0 if report["status"] == "ok" else 1
 
 
+def stage_config(args) -> PipelineConfig:
+    """The config a stage subcommand's flags describe; a flag left out keeps
+    ``PipelineConfig``'s default."""
+    if args.command == "detect-spikes":
+        return PipelineConfig(
+            traffic_csv=args.traffic,
+            z_threshold=args.z,
+            min_duration_minutes=args.min_duration,
+            merge_gap_minutes=args.merge_gap,
+            window_weeks=args.window_weeks,
+            bin_minutes=args.bin_minutes,
+            std_floor_fraction=args.std_floor,
+        )
+    if args.command == "ingest":
+        return PipelineConfig(
+            corpus_path=args.corpus,
+            filter=FilterConfig(
+                search_terms=tuple(args.search_term),
+                communities=tuple(args.community),
+                min_engagement=args.min_engagement,
+                require_outbound_link=args.require_outbound_link,
+            ),
+            top_k_comments=args.top_k_comments,
+        )
+    if args.command == "infer-events":
+        if args.backend == "stub":
+            if not args.fixtures:
+                raise SystemExit("--fixtures is required with the stub backend")
+            llm = {"kind": "stub", "fixtures_path": args.fixtures}
+        else:
+            llm = {"kind": "http", "endpoint_url": args.endpoint_url, "model_name": args.model,
+                   "auth_token_env": args.auth_token_env}
+        retriever = ({"kind": "fixture", "fixtures_path": args.retriever_fixtures}
+                     if args.retriever_fixtures else {"kind": "none"})
+        return PipelineConfig(default_timezone=args.default_timezone, llm=llm,
+                              retriever=retriever)
+    if args.command == "dedup":
+        return PipelineConfig(dedup_threshold=args.threshold,
+                              embedder={"kind": "hash", "dim": args.dim})
+    if args.command == "cluster":
+        return PipelineConfig(levels=args.levels, seed=args.seed,
+                              embedder={"kind": "hash", "dim": args.dim})
+    if args.command == "correlate":
+        return PipelineConfig(match_window_hours=args.window_hours)
+    if args.command == "report":
+        return PipelineConfig(report_bins=args.bins, min_category_count=args.min_category_count)
+    raise ValueError(f"{args.command} is not a stage subcommand")
+
+
 def cmd_detect_spikes(args) -> int:
-    config = PipelineConfig(
-        traffic_csv=args.traffic,
-        z_threshold=args.z,
-        min_duration_minutes=args.min_duration,
-        merge_gap_minutes=args.merge_gap,
-        window_weeks=args.window_weeks,
-        bin_minutes=args.bin_minutes,
-        std_floor_fraction=args.std_floor,
-    )
+    config = stage_config(args)
     try:
         with JsonlStore(args.out, SpikeRecord, id_prefix="spk") as store:
             spikes, z_by_network, _ = stage_detect_spikes(config, store)
@@ -78,16 +121,7 @@ def cmd_detect_spikes(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = PipelineConfig(
-        corpus_path=args.corpus,
-        filter=FilterConfig(
-            search_terms=tuple(args.search_term),
-            communities=tuple(args.community),
-            min_engagement=args.min_engagement,
-            require_outbound_link=args.require_outbound_link,
-        ),
-        top_k_comments=args.top_k_comments,
-    )
+    config = stage_config(args)
     with JsonlStore(args.out, ContentRecord, id_field="record_id") as store:
         _, summary = stage_ingest(config, build_connector(config), store)
     print(f"{summary['records']} records written to {args.out} "
@@ -96,16 +130,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_infer_events(args) -> int:
-    if args.backend == "stub":
-        if not args.fixtures:
-            raise SystemExit("--fixtures is required with the stub backend")
-        llm = {"kind": "stub", "fixtures_path": args.fixtures}
-    else:
-        llm = {"kind": "http", "endpoint_url": args.endpoint_url, "model_name": args.model,
-               "auth_token_env": args.auth_token_env}
-    retriever = ({"kind": "fixture", "fixtures_path": args.retriever_fixtures}
-                 if args.retriever_fixtures else {"kind": "none"})
-    config = PipelineConfig(default_timezone=args.default_timezone, llm=llm, retriever=retriever)
+    config = stage_config(args)
     out = Path(args.out)
     with EventStore(out) as events_store, \
             JsonlStore(out.parent / "runs.jsonl", InferenceRun, id_prefix="run") as runs_store:
@@ -123,8 +148,7 @@ def _announce_merge(merged, group_ids):
 
 
 def cmd_dedup(args) -> int:
-    config = PipelineConfig(dedup_threshold=args.threshold,
-                            embedder={"kind": "hash", "dim": args.dim})
+    config = stage_config(args)
     with EventStore(args.events) as store:
         *_, summary = stage_dedup(config, store.load_live(), build_embedder(config), store,
                                   on_merge=_announce_merge)
@@ -133,8 +157,7 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = PipelineConfig(levels=tuple(int(k) for k in args.levels.split(",")),
-                            seed=args.seed, embedder={"kind": "hash", "dim": args.dim})
+    config = stage_config(args)
     with EventStore(args.events) as store:
         _, summary = stage_cluster(config, store.load_live(), build_embedder(config), store,
                                    args.out_models, EventEmbeddings.stack({}))
@@ -147,7 +170,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    config = PipelineConfig(match_window_hours=args.window_hours)
+    config = stage_config(args)
     _, summary = stage_correlate(config, JsonlStore(args.spikes, SpikeRecord).load(),
                                  EventStore(args.events).load_live(), args.out)
     print(f"{summary['matches']} matches written to {args.out}")
@@ -155,14 +178,13 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    config = stage_config(args)
     if args.kind == "spike-frequency":
         spikes = JsonlStore(args.spikes, SpikeRecord).load()
-        bins = tuple(float(b) for b in args.bins.split(","))
-        header, rows = spike_frequency_table(spike_frequency(spikes, bins))
+        header, rows = spike_frequency_table(spike_frequency(spikes, config.report_bins))
     elif args.kind == "lead-time":
         events = EventStore(args.events).load_live()
-        cdfs = lead_time_cdf(events, bucket_categories=True,
-                             min_category_count=args.min_category_count)
+        cdfs = lead_time_cdf(events, min_category_count=config.min_category_count)
         header, rows = lead_time_table(cdfs)
     elif args.kind == "coverage":
         if args.labels and args.matches and args.spikes:
@@ -185,6 +207,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _numbers(kind):
+    """An argparse type: a comma-separated list of ``kind``, as a tuple."""
+    def numbers(text: str) -> tuple:
+        return tuple(kind(item) for item in text.split(","))
+    return numbers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eventcast",
                                      description="event-driven traffic spike pipeline")
@@ -204,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-spikes", help="baseline + spike extraction from traffic CSV")
     p.add_argument("--traffic", required=True)
-    p.add_argument("--z", type=float, default=2.0)
-    p.add_argument("--min-duration", type=float, default=20.0)
-    p.add_argument("--merge-gap", type=float, default=5.0)
-    p.add_argument("--window-weeks", type=int, default=4)
-    p.add_argument("--bin-minutes", type=int, default=5)
-    p.add_argument("--std-floor", type=float, default=0.05)
+    p.add_argument("--z", type=float, default=DEFAULTS.z_threshold)
+    p.add_argument("--min-duration", type=float, default=DEFAULTS.min_duration_minutes)
+    p.add_argument("--merge-gap", type=float, default=DEFAULTS.merge_gap_minutes)
+    p.add_argument("--window-weeks", type=int, default=DEFAULTS.window_weeks)
+    p.add_argument("--bin-minutes", type=int, default=DEFAULTS.bin_minutes)
+    p.add_argument("--std-floor", type=float, default=DEFAULTS.std_floor_fraction)
     p.add_argument("--out", default="spikes.jsonl")
     p.set_defaults(fn=cmd_detect_spikes)
 
@@ -217,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--search-term", action="append", default=[])
     p.add_argument("--community", action="append", default=[])
-    p.add_argument("--min-engagement", type=int, default=0)
+    p.add_argument("--min-engagement", type=int, default=DEFAULTS.filter.min_engagement)
     p.add_argument("--require-outbound-link", action="store_true")
-    p.add_argument("--top-k-comments", type=int, default=20)
+    p.add_argument("--top-k-comments", type=int, default=DEFAULTS.top_k_comments)
     p.add_argument("--out", default="records.jsonl")
     p.set_defaults(fn=cmd_ingest)
 
@@ -231,28 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--auth-token-env")
     p.add_argument("--retriever-fixtures")
-    p.add_argument("--default-timezone", default="UTC")
+    p.add_argument("--default-timezone", default=DEFAULTS.default_timezone)
     p.add_argument("--out", default="events.jsonl")
     p.set_defaults(fn=cmd_infer_events)
 
     p = sub.add_parser("dedup", help="merge same-date near-duplicate events")
     p.add_argument("--events", required=True)
-    p.add_argument("--threshold", type=float, default=0.90)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--threshold", type=float, default=DEFAULTS.dedup_threshold)
+    p.add_argument("--dim", type=int, default=DEFAULTS.embedder["dim"])
     p.set_defaults(fn=cmd_dedup)
 
     p = sub.add_parser("cluster", help="fit multi-level k-means signatures")
     p.add_argument("--events", required=True)
-    p.add_argument("--levels", default="10,100,1000,10000")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--levels", type=_numbers(int), default=DEFAULTS.levels)
+    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+    p.add_argument("--dim", type=int, default=DEFAULTS.embedder["dim"])
     p.add_argument("--out-models", default="cluster_models.json")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("correlate", help="match spikes to events")
     p.add_argument("--events", required=True)
     p.add_argument("--spikes", required=True)
-    p.add_argument("--window-hours", type=float, default=6.0)
+    p.add_argument("--window-hours", type=float, default=DEFAULTS.match_window_hours)
     p.add_argument("--out", default="matches.jsonl")
     p.set_defaults(fn=cmd_correlate)
 
@@ -260,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["coverage", "lead-time", "spike-frequency"])
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--spikes", help="spikes.jsonl (spike-frequency, coverage)")
-    p.add_argument("--bins", default="2,3,5")
+    p.add_argument("--bins", type=_numbers(float), default=DEFAULTS.report_bins)
     p.add_argument("--events", help="events.jsonl (lead-time)")
-    p.add_argument("--min-category-count", type=int, default=1000)
+    p.add_argument("--min-category-count", type=int, default=DEFAULTS.min_category_count)
     p.add_argument("--labels", help="ground-truth labels.jsonl (coverage)")
     p.add_argument("--matches", help="matches.jsonl (coverage)")
     p.add_argument("--coverage-csv", default="out/reports/coverage.csv",

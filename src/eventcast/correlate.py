@@ -141,7 +141,6 @@ class LeadTimeCdf:
 
 def lead_time_cdf(
     events: Sequence[EventAbstraction],
-    bucket_categories: bool = True,
     min_category_count: int = DEFAULT_MIN_CATEGORY_COUNT,
 ) -> Dict[str, LeadTimeCdf]:
     """Per-category CDF of (event time - first mention).
@@ -150,17 +149,14 @@ def lead_time_cdf(
     "Others". Events whose first mention came after the event count in a
     separate negative-lead bucket instead of the CDF.
     """
-    usable = [e for e in events if e.event_time_utc is not None]
-    groups: Dict[str, List[EventAbstraction]] = {}
-    if bucket_categories:
-        by_cat: Dict[str, List[EventAbstraction]] = {}
-        for event in usable:
+    by_cat: Dict[str, List[EventAbstraction]] = {}
+    for event in events:
+        if event.event_time_utc is not None:
             by_cat.setdefault(event.category or "Uncategorized", []).append(event)
-        for cat, members in by_cat.items():
-            target = cat if len(members) >= min_category_count else OTHERS_CATEGORY
-            groups.setdefault(target, []).extend(members)
-    else:
-        groups["All"] = list(usable)
+    groups: Dict[str, List[EventAbstraction]] = {}
+    for cat, members in by_cat.items():
+        target = cat if len(members) >= min_category_count else OTHERS_CATEGORY
+        groups.setdefault(target, []).extend(members)
 
     out = {}
     for cat in sorted(groups):

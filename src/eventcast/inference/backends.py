@@ -7,7 +7,8 @@ into its fixture lookup key.
 
 Inference keeps at most ``MAX_CONCURRENT_REQUESTS`` remote requests in
 flight: every LLM, retriever and embedder call runs on a ``thread_pool``
-worker. A backend whose calls wait on the network says so with a true
+worker, and so does every linked-page fetch of ingest. A backend or page
+fetcher whose calls wait on the network says so with a true
 ``waits_on_network`` class attribute; a stage given none of those runs
 every call inline on the caller's thread instead. Each HTTP client sends
 through its own ``remote.JsonEndpoint``, which reuses an idle keep-alive
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ from typing import Dict, Iterator, Optional, Protocol
 
 from ..model import InvariantError
 from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
+
+logger = logging.getLogger(__name__)
 
 
 # stage_infer and stage_dedup run as many event threads again, so a stage
@@ -41,6 +45,10 @@ from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
 # However high the cap, at most remote.MAX_OPENING_CONNECTIONS new
 # connections to one address wait for a first answer at a time.
 MAX_CONCURRENT_REQUESTS = 32
+
+# an LLM request that times out is sent this many more times before the
+# timeout reaches its caller
+TIMEOUT_RETRIES = 2
 
 
 class InlineExecutor(Executor):
@@ -114,6 +122,18 @@ class LlmBackend(Protocol):
     def send(self, prompt: str, salt: str = "") -> str: ...
 
 
+def send_retrying_timeouts(llm: LlmBackend, prompt: str, salt: str) -> str:
+    """``llm.send``, sent again on ``BackendTimeout`` up to ``TIMEOUT_RETRIES``
+    times; the last timeout, and any other error, propagates."""
+    for retry in range(1, TIMEOUT_RETRIES + 1):
+        try:
+            return llm.send(prompt, salt=salt)
+        except BackendTimeout:
+            logger.warning("run %s timed out; sending again (%d/%d)", salt, retry,
+                           TIMEOUT_RETRIES)
+    return llm.send(prompt, salt=salt)
+
+
 def prompt_key(prompt: str, salt: str = "") -> str:
     """Stable fixture key: hash of the prompt plus the run salt."""
     return hashlib.sha256((prompt + "\x00" + salt).encode("utf-8")).hexdigest()
@@ -168,7 +188,6 @@ class StubLlmBackend:
 
     def __init__(self, fixtures: Dict[str, str]):
         self.fixtures = dict(fixtures)
-        self.last_prompt: Optional[str] = None
 
     @classmethod
     def from_file(cls, path) -> "StubLlmBackend":
@@ -182,7 +201,6 @@ class StubLlmBackend:
 
     def send(self, prompt: str, salt: str = "") -> str:
         key = prompt_key(prompt, salt)
-        self.last_prompt = prompt
         if key not in self.fixtures:
             raise StubFixtureMissing(key)
         return self.fixtures[key]

@@ -18,6 +18,7 @@ from .backends import (
     BackendTimeout,
     LlmBackend,
     StubFixtureMissing,
+    send_retrying_timeouts,
     thread_pool,
 )
 from .fields import (
@@ -122,20 +123,16 @@ def enrich_with_context(
     return ContextBundle(event_id=event.event_id, retrieved_docs=tuple(docs))
 
 
-def _complete(llm: LlmBackend, prompt: str, salt: str, where: str,
-              timeout_retries: int) -> Optional[str]:
+def _complete(llm: LlmBackend, prompt: str, salt: str, where: str) -> Optional[str]:
     """One ensemble member's completion, or None when it abstains on backend trouble."""
-    for retry in range(timeout_retries + 1):
-        try:
-            return llm.send(prompt, salt=salt)
-        except BackendTimeout:
-            if retry == timeout_retries:
-                logger.warning("%s run %s timed out; counting as abstain", where, salt)
-        except StubFixtureMissing:
-            raise  # a fixture gap is a configuration defect, not noise
-        except BackendError as exc:
-            logger.warning("%s run %s failed (%s); counting as abstain", where, salt, exc)
-            return None
+    try:
+        return send_retrying_timeouts(llm, prompt, salt)
+    except StubFixtureMissing:
+        raise  # a fixture gap is a configuration defect, not noise
+    except BackendTimeout:
+        logger.warning("%s run %s timed out; counting as abstain", where, salt)
+    except BackendError as exc:
+        logger.warning("%s run %s failed (%s); counting as abstain", where, salt, exc)
     return None
 
 
@@ -148,7 +145,6 @@ def _infer_fields(
     ensemble_size: int,
     max_attempts: int,
     records: Sequence[ContentRecord],
-    timeout_retries: int,
 ) -> List[InferenceRun]:
     """``infer_field`` for several fields whose prompts do not depend on
     each other: every ensemble member of every field still short of
@@ -167,7 +163,7 @@ def _infer_fields(
             break
         completions = {
             i: [pool.submit(_complete, llm, prompts[i], f"a{attempt}r{run_index}",
-                            f"{event.event_id}/{specs[i].field_name}", timeout_retries)
+                            f"{event.event_id}/{specs[i].field_name}")
                 for run_index in range(ensemble_size)]
             for i in pending
         }
@@ -210,7 +206,6 @@ def infer_field(
     ensemble_size: int = 3,
     max_attempts: int = 3,
     records: Sequence[ContentRecord] = (),
-    timeout_retries: int = 2,
 ) -> InferenceRun:
     """Infer one metadata field by ensemble consensus.
 
@@ -223,7 +218,7 @@ def infer_field(
     """
     with thread_pool("request", llm) as pool:
         return _infer_fields(event, [spec], context, llm, pool, ensemble_size, max_attempts,
-                             records, timeout_retries)[0]
+                             records)[0]
 
 
 def enrich_event(
@@ -262,7 +257,7 @@ def enrich_event(
                                           max_docs).result()
             for batch in batches:
                 batch_runs = _infer_fields(event, batch, context, llm, pool, ensemble_size,
-                                           max_attempts, records, timeout_retries=2)
+                                           max_attempts, records)
                 for spec, run in zip(batch, batch_runs):
                     event = apply_consensus(event, spec, run.consensus_value)
                 runs.extend(batch_runs)

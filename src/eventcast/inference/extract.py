@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import time as time_mod
 from typing import List
 
 from ..model import (
@@ -15,7 +14,7 @@ from ..model import (
     InvariantError,
     derive_event_time_utc,
 )
-from .backends import BackendTimeout, LlmBackend
+from .backends import BackendTimeout, LlmBackend, send_retrying_timeouts
 from .fields import _strip_fences
 from .prompts import FORMAT_REMINDER, build_extract_prompt
 
@@ -46,36 +45,18 @@ def _parse_drafts(completion: str, record: ContentRecord) -> List[EventDraft]:
     return drafts
 
 
-def extract_events(
-    record: ContentRecord,
-    llm: LlmBackend,
-    timeout_retries: int = 2,
-    retry_wait_seconds: float = 0.0,
-) -> List[EventDraft]:
+def extract_events(record: ContentRecord, llm: LlmBackend) -> List[EventDraft]:
     """Ask the backend for every upcoming event a thread announces.
 
-    Timeouts are retried up to timeout_retries times; an unparseable
-    completion gets one re-prompt with a format reminder before the
-    record fails. Drafts dated before the post's creation are flagged
-    past_dated, not dropped.
+    A timed-out request is sent again up to ``TIMEOUT_RETRIES`` times; an
+    unparseable completion gets one re-prompt with a format reminder
+    before the record fails. Drafts dated before the post's creation are
+    flagged past_dated, not dropped.
     """
     prompt = build_extract_prompt(record)
 
-    def _send(text: str, salt: str) -> str:
-        for attempt in range(timeout_retries + 1):
-            try:
-                return llm.send(text, salt=salt)
-            except BackendTimeout:
-                if attempt == timeout_retries:
-                    raise
-                logger.warning("extract timeout for %s; retrying (%d/%d)",
-                               record.record_id, attempt + 1, timeout_retries)
-                if retry_wait_seconds:
-                    time_mod.sleep(retry_wait_seconds * (2 ** attempt))
-        raise AssertionError("unreachable")
-
     try:
-        completion = _send(prompt, salt="extract")
+        completion = send_retrying_timeouts(llm, prompt, "extract")
     except BackendTimeout as exc:
         raise ExtractionError(f"record {record.record_id}: backend timed out") from exc
 
@@ -85,7 +66,7 @@ def extract_events(
         logger.warning("unparseable extraction for %s (%s); re-prompting",
                        record.record_id, first_error)
         try:
-            completion = _send(prompt + FORMAT_REMINDER, salt="extract-retry")
+            completion = send_retrying_timeouts(llm, prompt + FORMAT_REMINDER, "extract-retry")
             drafts = _parse_drafts(completion, record)
         except BackendTimeout as exc:
             raise ExtractionError(f"record {record.record_id}: backend timed out on re-prompt") from exc

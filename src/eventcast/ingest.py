@@ -13,12 +13,13 @@ import json
 import logging
 import threading
 import time as time_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from .inference.backends import thread_pool
 from .model import ContentRecord, InvariantError, ensure_utc, from_json_dict, to_json_dict, utc_from_iso
 from .remote import JsonEndpoint, RemoteError, bearer_headers
 from .textclean import clean_text
@@ -146,12 +147,6 @@ class SkipReport:
     """Counts of source items dropped while listing posts."""
 
     malformed: int = 0
-    reasons: list = field(default_factory=list)
-
-    def note(self, reason: str):
-        self.malformed += 1
-        if len(self.reasons) < 50:
-            self.reasons.append(reason)
 
 
 class TokenBucket:
@@ -202,7 +197,9 @@ class FileCorpusConnector:
                 try:
                     yield json.loads(line)
                 except json.JSONDecodeError as exc:
-                    self.skip_report.note(f"line {lineno}: invalid JSON ({exc})")
+                    self.skip_report.malformed += 1
+                    logger.warning("skipping line %d of %s: invalid JSON (%s)",
+                                   lineno, self.path, exc)
 
 
 class HttpJsonConnector:
@@ -216,13 +213,12 @@ class HttpJsonConnector:
 
     def __init__(self, base_url: str, auth_token_env: Optional[str] = None,
                  requests_per_minute: float = 60, max_retries: int = 3,
-                 backoff_seconds: float = 1.0, timeout: float = 30.0,
-                 rate_limiter: Optional[TokenBucket] = None):
+                 backoff_seconds: float = 1.0, timeout: float = 30.0):
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.endpoint = JsonEndpoint(base_url, timeout=timeout,
                                      headers=bearer_headers(auth_token_env))
-        self.rate_limiter = rate_limiter or TokenBucket(requests_per_minute)
+        self.rate_limiter = TokenBucket(requests_per_minute)
         self.skip_report = SkipReport()
 
     def list_raw(self) -> Iterable[dict]:
@@ -257,7 +253,7 @@ def list_posts(connector, filter: FilterConfig) -> List[RawPost]:
         try:
             post = RawPost.from_dict(item)
         except (KeyError, ValueError, TypeError, AttributeError, InvariantError) as exc:
-            connector.skip_report.note(f"post {item.get('post_id', '?') if isinstance(item, dict) else '?'}: {exc}")
+            connector.skip_report.malformed += 1
             logger.warning("skipping malformed post: %s", exc)
             continue
         if filter.matches(post):
@@ -298,11 +294,12 @@ class HttpPageFetcher:
     ``Content-Type`` names, else as UTF-8 with undecodable bytes replaced.
     """
 
-    def __init__(self, timeout: float = 20.0, rate_limiter: Optional[TokenBucket] = None):
+    waits_on_network = True
+
+    def __init__(self, timeout: float = 20.0):
         import urllib.request  # only here, so a run without HTTP pages never loads it
 
         self.timeout = timeout
-        self.rate_limiter = rate_limiter
         proxies = {scheme: url for scheme, url in urllib.request.getproxies().items()
                    if scheme in ("http", "https")}
         self._opener = urllib.request.OpenerDirector()
@@ -317,8 +314,6 @@ class HttpPageFetcher:
 
         if urlsplit(url).scheme not in ("http", "https"):
             raise ValueError(f"not an http(s) URL: {url!r}")
-        if self.rate_limiter is not None:
-            self.rate_limiter.acquire()
         try:
             resp = self._opener.open(url, timeout=self.timeout)
         except urllib.error.HTTPError as exc:
@@ -333,19 +328,16 @@ class HttpPageFetcher:
             return body.decode("utf-8", errors="replace")
 
 
-def fetch_linked_pages(post: RawPost, fetcher, max_pages: int,
-                       parallelism: int = 8) -> List[Tuple[str, str]]:
+def fetch_linked_pages(post: RawPost, fetcher, max_pages: int) -> List[Tuple[str, str]]:
     """Fetch up to max_pages of the post's outbound links.
 
-    Fetches run with bounded parallelism but results keep the listed
-    order. Per-page failures are logged and the page omitted; never
-    fatal.
+    Fetches run on a ``thread_pool("page", fetcher)``, so they overlap
+    only when the fetcher waits on the network, but results keep the
+    listed order. Per-page failures are logged and the page omitted;
+    never fatal.
     """
     if max_pages < 0:
         raise ValueError("max_pages must be >= 0")
-    urls = list(post.outbound_urls[:max_pages])
-    if not urls:
-        return []
 
     def fetch_one(url):
         try:
@@ -354,12 +346,8 @@ def fetch_linked_pages(post: RawPost, fetcher, max_pages: int,
             logger.warning("failed to fetch %s: %s", url, exc)
             return None
 
-    if parallelism <= 1 or len(urls) == 1:
-        results = [fetch_one(u) for u in urls]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(urls))) as pool:
-            results = list(pool.map(fetch_one, urls))
+    with thread_pool("page", fetcher) as pool:
+        results = list(pool.map(fetch_one, post.outbound_urls[:max_pages]))
     return [r for r in results if r is not None]
 
 
@@ -367,21 +355,19 @@ def assemble_content_record(
     post: RawPost,
     pages: Sequence[Tuple[str, str]] = (),
     top_k_comments: int = DEFAULT_TOP_K_COMMENTS,
-    fetched_at: Optional[datetime] = None,
-    body_format: str = "markdown",
-    record_char_cap: int = RECORD_CHAR_CAP,
 ) -> ContentRecord:
     """Compile one cleaned ContentRecord for a discussion thread.
 
     Keeps the top_k highest-score comments (ties broken by original
     order), each capped at 2,000 chars, within an overall record budget
-    spent body-first, then comments, then linked texts. Deterministic
-    given its inputs: fetched_at defaults to the post's created_at.
+    of 60,000 chars spent body-first, then comments, then linked texts.
+    The body and comments are cleaned as markdown, linked pages as HTML.
+    Deterministic given its inputs: fetched_at is the post's created_at.
 
     Raises EmptyRecordError when nothing survives cleaning.
     """
-    budget = record_char_cap
-    body = clean_text(post.body, body_format, max_chars=budget)
+    budget = RECORD_CHAR_CAP
+    body = clean_text(post.body, "markdown", max_chars=budget)
     budget -= len(body)
 
     ranked = sorted(
@@ -392,7 +378,7 @@ def assemble_content_record(
     for _, (text, _score) in ranked:
         if budget <= 0:
             break
-        cleaned = clean_text(text, body_format, max_chars=min(COMMENT_CHAR_CAP, budget))
+        cleaned = clean_text(text, "markdown", max_chars=min(COMMENT_CHAR_CAP, budget))
         if cleaned:
             comments.append(cleaned)
             budget -= len(cleaned)
@@ -415,7 +401,7 @@ def assemble_content_record(
         source="forum_thread",
         url=post.url or f"post://{post.post_id}",
         created_at=post.created_at,
-        fetched_at=fetched_at if fetched_at is not None else post.created_at,
+        fetched_at=post.created_at,
         title=title,
         body_text=body,
         comments=tuple(comments),

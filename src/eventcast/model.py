@@ -453,24 +453,6 @@ class EventAbstraction:
         object.__setattr__(self, "low_confidence_fields", tuple(self.low_confidence_fields))
         object.__setattr__(self, "flags", tuple(self.flags))
 
-    # fields filled by ensemble inference: the names of
-    # ``inference.fields.INFERABLE_SPECS``, in order (a test pins the two)
-    INFERABLE_FIELDS = (
-        "category",
-        "entities",
-        "platforms",
-        "data_per_user_mb",
-        "audience_size",
-        "continent_relevance",
-        "nation_relevance",
-        "spike_duration_hours",
-        "likelihood",
-    )
-
-    def is_enriched(self) -> bool:
-        """True when every Table-derived metadata field has been filled."""
-        return all(getattr(self, f) is not None for f in self.INFERABLE_FIELDS)
-
     to_dict = record_dict
     from_dict = classmethod(from_json_dict)
 

@@ -58,6 +58,7 @@ from .inference.enrich import FixtureRetriever, HttpRetriever, enrich_event
 from .inference.extract import ExtractionError, build_event, extract_events
 from .model import ContentRecord, EventAbstraction, SpikeRecord, from_json_dict, to_json_dict, utc_from_iso
 from .semantics import (
+    STUB_DIM,
     EventEmbeddings,
     HashingStubEmbedder,
     HttpEmbedder,
@@ -97,7 +98,7 @@ class PipelineConfig:
     max_linked_pages: int = 0
     page_fetcher: dict = field(default_factory=lambda: {"kind": "none"})
     llm: dict = field(default_factory=lambda: {"kind": "stub", "fixtures_path": None})
-    embedder: dict = field(default_factory=lambda: {"kind": "hash", "dim": 64})
+    embedder: dict = field(default_factory=lambda: {"kind": "hash", "dim": STUB_DIM})
     retriever: dict = field(default_factory=lambda: {"kind": "none"})
     ensemble_size: int = 3
     max_attempts: int = 3
@@ -168,7 +169,7 @@ def build_llm(config: PipelineConfig):
 def build_embedder(config: PipelineConfig):
     kind = config.embedder.get("kind", "hash")
     if kind == "hash":
-        return HashingStubEmbedder(dim=config.embedder.get("dim", 64))
+        return HashingStubEmbedder(dim=config.embedder.get("dim", STUB_DIM))
     if kind == "http":
         return HttpEmbedder(
             endpoint_url=config.embedder["endpoint_url"],
@@ -268,39 +269,49 @@ def stage_infer(config: PipelineConfig, records: List[ContentRecord], llm, retri
     draft order. A record whose extraction fails is logged, counted and
     reported; the run goes on unless every record fails. A missing stub
     fixture, or any other error, fails the stage after storing what a
-    sequential run would have stored before it.
+    sequential run would have stored before it; no event is submitted
+    after an enrichment seen to have failed.
     """
     events: List[EventAbstraction] = []
     failed_records = []
     seen_ids = set()
     drafts_total = 0
     flagged_past = 0
+
+    def drafts_in_order(extractions):
+        """(record, draft) for each draft of each record that extracted."""
+        for record, extraction in zip(records, extractions):
+            try:
+                drafts = extraction.result()
+            except StubFixtureMissing:
+                raise
+            except (ExtractionError, BackendError) as exc:
+                logger.warning("record %s failed: %s", record.record_id, exc)
+                failed_records.append({"record_id": record.record_id, "error": str(exc)})
+                continue
+            for draft in drafts:
+                yield record, draft
+
     with thread_pool("request", llm, retriever) as request_workers, \
             thread_pool("event", llm, retriever) as event_workers:
         extractions = [request_workers.submit(extract_events, record, llm) for record in records]
         enrichments = []
         try:
-            for record, extraction in zip(records, extractions):
-                try:
-                    drafts = extraction.result()
-                except StubFixtureMissing:
-                    raise
-                except (ExtractionError, BackendError) as exc:
-                    logger.warning("record %s failed: %s", record.record_id, exc)
-                    failed_records.append({"record_id": record.record_id, "error": str(exc)})
+            for record, draft in drafts_in_order(extractions):
+                drafts_total += 1
+                if "past_dated" in draft.flags:
+                    flagged_past += 1
+                event = build_event(draft, record, default_timezone=config.default_timezone)
+                if event.event_id in seen_ids:
                     continue
-                drafts_total += len(drafts)
-                for draft in drafts:
-                    if "past_dated" in draft.flags:
-                        flagged_past += 1
-                    event = build_event(draft, record, default_timezone=config.default_timezone)
-                    if event.event_id in seen_ids:
-                        continue
-                    seen_ids.add(event.event_id)
-                    enrichments.append(event_workers.submit(
-                        enrich_event, event, llm, retriever, records=[record],
-                        ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
-                        max_docs=config.max_context_docs, pool=request_workers))
+                seen_ids.add(event.event_id)
+                enrichment = event_workers.submit(
+                    enrich_event, event, llm, retriever, records=[record],
+                    ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
+                    max_docs=config.max_context_docs, pool=request_workers)
+                enrichments.append(enrichment)
+                if enrichment.done() and enrichment.exception() is not None:
+                    break  # inline, a failed enrichment is done at submit: add nothing after it
         finally:
             # also after a failure above: a sequential run would have stored
             # these first, and an error here precedes it in record order
@@ -471,8 +482,7 @@ def stage_report(config: PipelineConfig, spikes, events, matches, z_by_network, 
     (reports_dir / "spike_frequency.csv").write_text(
         report_tables.render_table(header, rows), encoding="utf-8")
 
-    cdfs = lead_time_cdf(events, bucket_categories=True,
-                         min_category_count=config.min_category_count)
+    cdfs = lead_time_cdf(events, min_category_count=config.min_category_count)
     header, rows = report_tables.lead_time_table(cdfs)
     (reports_dir / "lead_time.csv").write_text(
         report_tables.render_table(header, rows), encoding="utf-8")
@@ -706,7 +716,6 @@ def materialize_scenario(scenario, out_dir) -> Path:
         filter=FilterConfig(search_terms=("premiere", "kickoff"), communities=tuple(communities),
                             min_engagement=25),
         llm={"kind": "stub", "fixtures_path": str(out_dir / "llm_fixtures.json")},
-        embedder={"kind": "hash", "dim": 64},
         retriever={"kind": "fixture", "fixtures_path": str(out_dir / "retriever_fixtures.json")},
         min_category_count=scenario.min_category_count,
         network_regions={

@@ -25,9 +25,13 @@ from .inference.extract import build_event
 from .inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
 from .inference.prompts import build_extract_prompt, build_field_prompt
 from .model import EventDraft, TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
+from .pipeline import PipelineConfig
 from .semantics import EventEmbeddings, HashingStubEmbedder, embed_event, find_duplicates, merge_events
 
-SPIKE_Z_FLOOR_FACTOR = 0.05  # mirrors the scoring std floor
+# the run settings the synthetic inputs are made for: planted bumps are
+# sized in units of the default std floor, and a run that keeps the other
+# defaults sends exactly the prompts synth_corpus has completions for
+RUN_DEFAULTS = PipelineConfig()
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def synth_traffic(scenario: Scenario) -> Tuple[Dict[str, TrafficSeries], List[di
         base = _base_curve(network, minutes_of_day, weekday)
         noise = rng.normal(0.0, scenario.noise_std_fraction, size=n_samples) * base
         values = base + noise
-        z_unit = max(scenario.noise_std_fraction, SPIKE_Z_FLOOR_FACTOR)
+        z_unit = max(scenario.noise_std_fraction, RUN_DEFAULTS.std_floor_fraction)
         for ev in scenario.planted_events:
             if ev.network_id != network.network_id:
                 continue
@@ -291,12 +295,13 @@ def _field_completions(ev: PlantedEvent, spec) -> List[str]:
 
 
 def _simulate_enrichment(event, planted: PlantedEvent, records, retriever,
-                         fixtures: Dict[str, str], max_docs: int = 3):
+                         fixtures: Dict[str, str]):
     """Walk the field chain exactly as the pipeline will, recording the
     fixture completion for every (prompt, salt) the stub will see."""
     for spec in INFERABLE_SPECS:
         if spec.uses_rag:
-            context = enrich_with_context(event, retriever, max_docs=max_docs)
+            context = enrich_with_context(event, retriever,
+                                          max_docs=RUN_DEFAULTS.max_context_docs)
         else:
             context = ContextBundle(event_id=event.event_id, retrieved_docs=())
         prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
@@ -311,20 +316,15 @@ def _simulate_enrichment(event, planted: PlantedEvent, records, retriever,
     return event
 
 
-def synth_corpus(
-    scenario: Scenario,
-    top_k_comments: int = 20,
-    max_context_docs: int = 3,
-    default_timezone: str = "UTC",
-    embedder_dim: int = 64,
-) -> Tuple[List[RawPost], Dict[str, str], Dict[str, list]]:
+def synth_corpus(scenario: Scenario) -> Tuple[List[RawPost], Dict[str, str], Dict[str, list]]:
     """Generate the discussion corpus plus complete stub fixture maps.
 
     Returns (posts, llm_fixtures, retriever_fixtures). Fixtures cover the
     extraction prompt per record, every pre-merge field prompt, and the
     re-inference prompts for events that will merge during dedup, so a
-    stub-backed pipeline run never misses a key. Spontaneous events get
-    traffic bumps only: no posts.
+    stub-backed run with ``PipelineConfig``'s default comments, context
+    docs, time zone, embedder and dedup threshold never misses a key.
+    Spontaneous events get traffic bumps only: no posts.
     """
     rng = random.Random(scenario.seed)
     tagged_posts = _event_posts(scenario, rng)
@@ -346,7 +346,7 @@ def synth_corpus(
     by_event_records: Dict[str, list] = {}
     planted_by_id: Dict[str, PlantedEvent] = {}
     for post, ev in tagged_posts:
-        record = assemble_content_record(post, pages=(), top_k_comments=top_k_comments)
+        record = assemble_content_record(post, top_k_comments=RUN_DEFAULTS.top_k_comments)
         draft_payload = [{
             "headline": ev.headline,
             "date": ev.event_time.date().isoformat(),
@@ -357,14 +357,15 @@ def synth_corpus(
             headline=ev.headline, date=draft_payload[0]["date"],
             time=draft_payload[0]["time"], source_record=record.record_id,
         )
-        event = build_event(draft, record, default_timezone=default_timezone)
+        event = build_event(draft, record, default_timezone=RUN_DEFAULTS.default_timezone)
         events.append(event)
         by_event_records[event.event_id] = [record]
         planted_by_id[event.event_id] = ev
 
     # the no-event distractor still gets an extraction fixture
     recipe = next(p for p in posts if p.post_id == "distractor-recipe")
-    recipe_record = assemble_content_record(recipe, pages=(), top_k_comments=top_k_comments)
+    recipe_record = assemble_content_record(recipe,
+                                            top_k_comments=RUN_DEFAULTS.top_k_comments)
     llm_fixtures[prompt_key(build_extract_prompt(recipe_record), "extract")] = "[]"
 
     # pre-merge enrichment fixtures (walked with the real code path)
@@ -373,14 +374,15 @@ def synth_corpus(
         planted = planted_by_id[event.event_id]
         enriched.append(
             _simulate_enrichment(event, planted, by_event_records[event.event_id],
-                                 retriever, llm_fixtures, max_docs=max_context_docs)
+                                 retriever, llm_fixtures)
         )
 
     # events that will merge re-infer everything over the expanded records
-    embedder = HashingStubEmbedder(dim=embedder_dim)
+    embedder = HashingStubEmbedder(dim=RUN_DEFAULTS.embedder["dim"])
     embeddings = EventEmbeddings.stack({e.event_id: embed_event(e, embedder) for e in enriched})
     by_id = {e.event_id: e for e in enriched}
-    for group_ids in find_duplicates(enriched, embeddings):
+    for group_ids in find_duplicates(enriched, embeddings,
+                                     sim_threshold=RUN_DEFAULTS.dedup_threshold):
         merged = merge_events([by_id[eid] for eid in group_ids], store=None)
         planted = planted_by_id[merged.event_id]
         records_by_id = {
@@ -389,8 +391,7 @@ def synth_corpus(
             for record in by_event_records[eid]
         }
         ordered = [records_by_id[rid] for rid in merged.source_records]
-        _simulate_enrichment(merged, planted, ordered, retriever, llm_fixtures,
-                             max_docs=max_context_docs)
+        _simulate_enrichment(merged, planted, ordered, retriever, llm_fixtures)
 
     return posts, llm_fixtures, retriever_fixtures
 

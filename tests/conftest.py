@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 import eventcast.pipeline as pipeline
+from eventcast.inference.fields import INFERABLE_SPECS
 from eventcast.ingest import RawPost
 from eventcast.model import ContentRecord, EventAbstraction, TrafficSeries
 
@@ -38,6 +39,14 @@ def make_record(record_id="rec-1", body="A discussion about an upcoming match.",
         engagement=engagement,
         linked_texts=(),
     )
+
+
+INFERABLE = tuple(spec.field_name for spec in INFERABLE_SPECS)
+
+
+def inferred_fields(event) -> tuple:
+    """The ensemble-inferred fields that hold a value, in registry order."""
+    return tuple(name for name in INFERABLE if getattr(event, name) is not None)
 
 
 def make_event(event_id="evt-1", date="2025-07-02", time="19:00",

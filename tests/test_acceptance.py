@@ -337,7 +337,7 @@ def test_criterion_5_end_to_end_synthetic_coverage(scenario_run):
 def test_criterion_6_lead_time_cdf_shape(scenario_run):
     base, config, report, _ = scenario_run
     events = EventStore(Path(config.out_dir) / "events.jsonl").load_live()
-    cdfs = lead_time_cdf(events, bucket_categories=True, min_category_count=3)
+    cdfs = lead_time_cdf(events, min_category_count=3)
     tv, sports = cdfs["tv & film"], cdfs["sports"]
 
     def fraction_at_least(cdf, days):

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from eventcast.cli import main
+from eventcast.cli import build_parser, main, stage_config
+from eventcast.pipeline import PipelineConfig
 from eventcast.store import EventStore
 
 from eventcast.baseline import write_traffic_csv
 
-from .conftest import make_event, make_series, week_of_samples
+from .conftest import inferred_fields, make_event, make_series, week_of_samples
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,28 @@ def synth_dir(tmp_path_factory):
 def pipeline_out(synth_dir):
     assert main(["run", "--config", str(synth_dir / "pipeline.json")]) == 0
     return synth_dir / "out"
+
+
+# each stage subcommand with only the flags it needs, and the config
+# fields those flags set; ingest needs a search term or a community, and
+# "event" is the search term of PipelineConfig's default filter
+REQUIRED_FLAGS = {
+    "detect-spikes": (["--traffic", "t.csv"], {"traffic_csv": "t.csv"}),
+    "ingest": (["--corpus", "p.jsonl", "--search-term", "event"], {"corpus_path": "p.jsonl"}),
+    "infer-events": (["--records", "r.jsonl", "--fixtures", "f.json"],
+                     {"llm": {"kind": "stub", "fixtures_path": "f.json"}}),
+    "dedup": (["--events", "e.jsonl"], {}),
+    "cluster": (["--events", "e.jsonl"], {}),
+    "correlate": (["--events", "e.jsonl", "--spikes", "s.jsonl"], {}),
+    "report": (["spike-frequency"], {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+def test_flags_left_out_keep_the_pipeline_defaults(command):
+    flags, given = REQUIRED_FLAGS[command]
+    config = stage_config(build_parser().parse_args([command, *flags]))
+    assert config == dataclasses.replace(PipelineConfig(), **given)
 
 
 def _pipeline_filter_flags(synth_dir):
@@ -151,7 +175,7 @@ class TestStageChain:
             assert len(event.source_records) == 2
             assert event.category is None and event.entities is None
             assert event.likelihood is None and event.low_confidence_fields == ()
-            assert not event.is_enriched()
+            assert inferred_fields(event) == ()
 
         assert main(["cluster", "--events", str(events), "--levels", "10,100",
                      "--seed", "7", "--out-models", str(models)]) == 0

@@ -22,6 +22,7 @@ import eventcast.pipeline as pipeline
 from eventcast.inference.backends import (
     HttpLlmBackend,
     InlineExecutor,
+    StubFixtureMissing,
     StubLlmBackend,
     prompt_key,
 )
@@ -42,7 +43,7 @@ from eventcast.semantics import HttpEmbedder
 from eventcast.store import fresh_stores
 from eventcast.synth import default_scenario
 
-from .conftest import make_event, make_record, run_on_threads
+from .conftest import OnTheNetwork, make_event, make_record, run_on_threads
 from .test_pipeline import _artifacts
 
 RAG_SPECS = [spec for spec in INFERABLE_SPECS if spec.uses_rag]
@@ -159,6 +160,60 @@ class TestSequentialOracle:
         # one retrieval for each of the 20 extracted events and the 2
         # re-inferred merge survivors (357 when every RAG field retrieved)
         assert len(queries) == 51
+
+
+class TestInferStopsAtAFailedEnrichment:
+    def test_inline_stops_there_and_stores_what_the_threaded_run_does(self, scenario_config,
+                                                                       tmp_path):
+        retriever = FixtureRetriever.from_file(scenario_config.retriever["fixtures_path"])
+        with open(scenario_config.llm["fixtures_path"], "r", encoding="utf-8") as fh:
+            fixtures = json.load(fh)
+        with fresh_stores(tmp_path / "ingest") as stores:
+            records, _ = stage_ingest(scenario_config, build_connector(scenario_config),
+                                      stores["records"])
+
+        class Recorder:
+            def __init__(self, llm):
+                self.llm, self.keys = llm, []
+
+            def send(self, prompt, salt=""):
+                self.keys.append(prompt_key(prompt, salt))
+                return self.llm.send(prompt, salt)
+
+        def infer(out_dir, llm, retriever=retriever):
+            with fresh_stores(out_dir) as stores:
+                stage_infer(scenario_config, records, llm, retriever, stores["events"],
+                            stores["runs"])
+
+        def stored(out_dir):
+            return [_lines(out_dir / name) for name in ("events.jsonl", "runs.jsonl")]
+
+        full = Recorder(StubLlmBackend(fixtures))
+        infer(tmp_path / "full", full)
+        # inline, the extractions of all records come first; this request
+        # is in the fourth event's enrichment, so three events are stored
+        failing = len(records) + 100
+        del fixtures[full.keys[failing]]
+
+        inline = Recorder(StubLlmBackend(fixtures))
+        with pytest.raises(StubFixtureMissing):
+            infer(tmp_path / "inline", inline)
+        # the calls of the full run up to the failing one, and at most the
+        # rest of its batch: the ensemble members of all RAG-backed fields
+        batch = len(RAG_SPECS) * scenario_config.ensemble_size
+        assert inline.keys == full.keys[:len(inline.keys)]
+        assert failing < len(inline.keys) <= failing + batch < len(full.keys)
+
+        threads = set()
+        with pytest.raises(StubFixtureMissing):
+            infer(tmp_path / "threaded", OnTheNetwork(StubLlmBackend(fixtures), threads),
+                  OnTheNetwork(retriever, threads))
+        assert threads and all(name.startswith("eventcast-request_") for name in threads)
+        events, runs = stored(tmp_path / "inline")
+        assert stored(tmp_path / "threaded") == [events, runs]
+        full_events, full_runs = stored(tmp_path / "full")
+        assert 0 < len(events) < len(full_events) and full_events[:len(events)] == events
+        assert full_runs[:len(runs)] == runs
 
 
 class SlowBackend:

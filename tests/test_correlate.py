@@ -166,7 +166,7 @@ class TestLeadTimeCdf:
             event_at("e2", when, category="Sports", first_mentioned=when - timedelta(days=7)),
             event_at("e3", when, category="Sports", first_mentioned=when - timedelta(days=30)),
         ]
-        cdfs = lead_time_cdf(events, bucket_categories=True, min_category_count=1)
+        cdfs = lead_time_cdf(events, min_category_count=1)
         cdf = cdfs["Sports"]
         assert cdf.lead_days == pytest.approx((1.0, 7.0, 30.0))
         assert cdf.cumulative_fraction == pytest.approx((1 / 3, 2 / 3, 1.0))
@@ -175,7 +175,7 @@ class TestLeadTimeCdf:
         when = datetime(2025, 7, 10, 12, 0, tzinfo=UTC)
         events = [event_at(f"m{i}", when, category="Music") for i in range(2)]
         events += [event_at(f"s{i}", when, category="Sports") for i in range(3)]
-        cdfs = lead_time_cdf(events, bucket_categories=True, min_category_count=3)
+        cdfs = lead_time_cdf(events, min_category_count=3)
         assert set(cdfs) == {"Sports", "Others"}
         assert len(cdfs["Others"].lead_days) == 2
 
@@ -185,7 +185,7 @@ class TestLeadTimeCdf:
             event_at("late", when, category="Sports", first_mentioned=when + timedelta(days=1)),
             event_at("early", when, category="Sports", first_mentioned=when - timedelta(days=2)),
         ]
-        cdf = lead_time_cdf(events, True, 1)["Sports"]
+        cdf = lead_time_cdf(events, 1)["Sports"]
         assert cdf.negative_lead_count == 1
         assert cdf.lead_days == pytest.approx((2.0,))
         assert cdf.cumulative_fraction[-1] == 1.0
@@ -199,7 +199,7 @@ class TestLeadTimeCdf:
                      first_mentioned=when - timedelta(days=lead))
             for i, lead in enumerate(leads)
         ]
-        cdf = lead_time_cdf(events, True, 1)["Sports"]
+        cdf = lead_time_cdf(events, 1)["Sports"]
         expected = sorted(leads)
         assert cdf.lead_days == pytest.approx(tuple(expected))
         assert cdf.cumulative_fraction == pytest.approx(

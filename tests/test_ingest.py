@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -34,6 +35,22 @@ class ListConnector:
 
     def list_raw(self):
         return iter(self.items)
+
+
+class NetworkPageFetcher(FilePageFetcher):
+    """A fixture fetcher that declares it waits on the network, so its pages
+    are fetched on the page pool; a later URL answers sooner."""
+
+    waits_on_network = True
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.threads = set()
+
+    def fetch(self, url):
+        self.threads.add(threading.current_thread().name)
+        time.sleep(0.002 * (len(self.pages) - list(self.pages).index(url)))
+        return super().fetch(url)
 
 
 class TestFilterConfig:
@@ -132,9 +149,24 @@ class TestFetchLinkedPages:
     def test_parallel_fetch_keeps_listed_order(self):
         urls = tuple(f"u{i}" for i in range(12))
         post = make_post(outbound_urls=urls)
-        fetcher = FilePageFetcher({u: f"<p>{u}</p>" for u in urls})
-        pages = fetch_linked_pages(post, fetcher, max_pages=12, parallelism=8)
-        assert [u for u, _ in pages] == list(urls)
+        fetcher = NetworkPageFetcher({u: f"<p>{u}</p>" for u in urls})
+        pages = fetch_linked_pages(post, fetcher, max_pages=12)
+        assert pages == [(u, f"<p>{u}</p>") for u in urls]
+        assert fetcher.threads and all(name.startswith("eventcast-page_")
+                                       for name in fetcher.threads)
+
+    def test_a_local_fetcher_fetches_on_the_callers_thread(self):
+        threads = set()
+
+        class Recording(FilePageFetcher):
+            def fetch(self, url):
+                threads.add(threading.current_thread().name)
+                return super().fetch(url)
+
+        post = make_post(outbound_urls=("u1", "u2"))
+        pages = fetch_linked_pages(post, Recording({"u1": "a", "u2": "b"}), max_pages=2)
+        assert pages == [("u1", "a"), ("u2", "b")]
+        assert threads == {threading.current_thread().name}
 
 
 class TestAssembly:

@@ -22,12 +22,11 @@ from eventcast.model import (
 )
 
 from eventcast.correlate import SpikeEventMatch
-from eventcast.inference.fields import INFERABLE_SPECS
 from eventcast.ingest import FilterConfig
 from eventcast.pipeline import PipelineConfig
 from eventcast.synth import PlantedEvent, Scenario, SynthNetwork
 
-from .conftest import MONDAY, make_event, make_record, make_series
+from .conftest import MONDAY, inferred_fields, make_event, make_record, make_series
 
 UTC = timezone.utc
 
@@ -134,10 +133,7 @@ class TestEventAbstraction:
     def test_round_trip_unenriched(self):
         event = make_event()
         assert EventAbstraction.from_dict(event.to_dict()) == event
-        assert not event.is_enriched()
-
-    def test_inferable_fields_match_the_registry(self):
-        assert EventAbstraction.INFERABLE_FIELDS == tuple(s.field_name for s in INFERABLE_SPECS)
+        assert inferred_fields(event) == ()
 
     def test_likelihood_bounds(self):
         with pytest.raises(InvariantError, match="likelihood"):

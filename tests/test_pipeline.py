@@ -24,7 +24,7 @@ from eventcast.semantics import HashingStubEmbedder, cluster_multilevel, embed_e
 from eventcast.store import EventStore, JsonlStore
 from eventcast.synth import default_scenario
 
-from .conftest import make_series
+from .conftest import INFERABLE, inferred_fields, make_series
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestFullRun:
         out = Path(config.out_dir)
         events = EventStore(out / "events.jsonl").load_live()
         assert len(events) == 18
-        assert all(e.is_enriched() for e in events)
+        assert all(inferred_fields(e) == INFERABLE for e in events)
         assert all(e.semantic_signature is not None for e in events)
         spikes = JsonlStore(out / "spikes.jsonl", SpikeRecord).load()
         assert spikes
@@ -81,7 +81,7 @@ class TestFullRun:
         assert len(merged) == 2
         for event in merged:
             assert len(event.source_records) == 2
-            assert event.is_enriched()  # re-inferred after the merge
+            assert inferred_fields(event) == INFERABLE  # re-inferred after the merge
 
     def test_lead_time_report_groups_sparse_categories(self, default_run):
         base, config, _ = default_run

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eventcast.synth as synth
 from eventcast.baseline import detect_spikes, fit_baseline, zscore_series
 from eventcast.inference.backends import StubLlmBackend
 from eventcast.inference.extract import extract_events
@@ -216,3 +221,12 @@ class TestDefaultScenario:
         sports = [e.lead_time_days for e in scenario.planted_events if e.category == "Sports"]
         assert min(tv) >= 30.0
         assert max(sports) < 30.0
+
+
+def test_synth_imports_first_in_a_fresh_interpreter():
+    # synth reads PipelineConfig's defaults from eventcast.pipeline, which
+    # imports synth only inside materialize_scenario; an import cycle fails here
+    src = str(Path(synth.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", "import eventcast.synth"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
