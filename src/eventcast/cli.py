@@ -121,6 +121,9 @@ def cmd_detect_spikes(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if not (args.search_term or args.community):
+        print("ingest needs at least one --search-term or --community", file=sys.stderr)
+        return 2
     config = stage_config(args)
     with JsonlStore(args.out, ContentRecord, id_field="record_id") as store:
         _, summary = stage_ingest(config, build_connector(config), store)

@@ -10,6 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .baseline import ZSeries
+from .inference.fields import INFERABLE_SPECS
 from .model import EventAbstraction, SpikeRecord, from_json_dict, record_dict, utc_to_iso
 
 logger = logging.getLogger(__name__)
@@ -182,22 +183,15 @@ def lead_time_cdf(
 
 # -- forecaster feature export -------------------------------------------------
 
-# Table-derived metadata columns, in stable export order
+# Metadata columns in stable export order: the fields fixed on creation,
+# then one per inferred field
 EVENT_FEATURE_COLUMNS = (
-    "event_date",
-    "event_time",
-    "event_time_utc",
-    "description",
-    "category",
-    "entities",
-    "platforms",
-    "data_per_user_mb",
-    "audience_size",
-    "continent_relevance",
-    "nation_relevance",
-    "spike_duration_hours",
-    "likelihood",
+    ("event_date", "event_time", "event_time_utc", "description")
+    + tuple(spec.field_name for spec in INFERABLE_SPECS)
 )
+
+# the network region key each relevance map resolves through
+_REGION_KEYS = {"continent_relevance": "continent", "nation_relevance": "country"}
 
 
 def feature_header(levels: Sequence[int]) -> List[str]:
@@ -207,11 +201,6 @@ def feature_header(levels: Sequence[int]) -> List[str]:
         + [f"sig_k{k}" for k in levels]
         + ["target_peak_z"]
     )
-
-
-# the row cells of the two relevances, the only event cells that resolve per network
-_CONTINENT_CELL = feature_header(()).index("continent_relevance")
-_NATION_CELL = feature_header(()).index("nation_relevance")
 
 
 def _fmt(value) -> str:
@@ -266,33 +255,26 @@ def export_features(
             sig = list(signature.cluster_ids)
         win_start = event.event_time_utc - half
         win_end = event.event_time_utc + half
-        features = {
-            "event_date": event.date,
-            "event_time": event.time,
-            "event_time_utc": utc_to_iso(event.event_time_utc),
-            "description": event.description,
-            "category": event.category,
-            "entities": "|".join(event.entities) if event.entities is not None else None,
-            "platforms": "|".join(event.platforms) if event.platforms is not None else None,
-            "data_per_user_mb": event.data_per_user_mb,
-            "audience_size": event.audience_size,
-            "continent_relevance": None,  # resolved per network below
-            "nation_relevance": None,
-            "spike_duration_hours": event.spike_duration_hours,
-            "likelihood": event.likelihood,
-        }
-        shared = ([utc_to_iso(win_start), utc_to_iso(win_end), event.event_id]
-                  + [_fmt(features[c]) for c in EVENT_FEATURE_COLUMNS]
-                  + [_fmt(s) for s in sig])
+        shared = [utc_to_iso(win_start), utc_to_iso(win_end), event.event_id,
+                  _fmt(event.date), _fmt(event.time), utc_to_iso(event.event_time_utc),
+                  _fmt(event.description)]
+        relevances = []  # (row cell, relevance map, region key), resolved per network
+        for spec in INFERABLE_SPECS:
+            value = getattr(event, spec.field_name)
+            if value is not None and spec.data_type == "string_list":
+                value = "|".join(value)
+            elif value is not None and spec.data_type == "real_map":
+                # a row is this list with network_id in front
+                relevances.append((1 + len(shared), value, _REGION_KEYS[spec.field_name]))
+                value = None
+            shared.append(_fmt(value))
+        shared += [_fmt(s) for s in sig]
         for network_id in networks:
             region = network_regions.get(network_id, {})
             row = [network_id, *shared,
                    _fmt(_peak_z_in_window(z_by_network.get(network_id), win_start, win_end))]
-            if event.continent_relevance is not None:
-                row[_CONTINENT_CELL] = _fmt(
-                    event.continent_relevance.get(region.get("continent", ""), 0.0))
-            if event.nation_relevance is not None:
-                row[_NATION_CELL] = _fmt(event.nation_relevance.get(region.get("country", ""), 0.0))
+            for cell, relevance, region_key in relevances:
+                row[cell] = _fmt(relevance.get(region.get(region_key, ""), 0.0))
             rows.append(row)
     return header, rows
 

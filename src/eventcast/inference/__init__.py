@@ -21,7 +21,6 @@ from .enrich import (
 )
 from .extract import ExtractionError, build_event, event_id_for, extract_events
 from .fields import (
-    FIELD_REGISTRY,
     FIELDS_BY_NAME,
     INFERABLE_SPECS,
     FieldSpec,
@@ -38,7 +37,6 @@ __all__ = [
     "BackendTimeout",
     "ContextBundle",
     "ExtractionError",
-    "FIELD_REGISTRY",
     "FIELDS_BY_NAME",
     "FieldSpec",
     "FixtureRetriever",

@@ -149,9 +149,6 @@ def _infer_fields(
     """``infer_field`` for several fields whose prompts do not depend on
     each other: every ensemble member of every field still short of
     consensus is sent at once, one attempt at a time."""
-    for spec in specs:
-        if not spec.ensemble_inferred:
-            raise ValueError(f"field {spec.field_name} is not ensemble-inferred")
     prompts = [build_field_prompt(event, spec.prompt_template_id, records=records,
                                   context_docs=context.retrieved_docs) for spec in specs]
     outputs: List[list] = [[] for _ in specs]
@@ -232,9 +229,9 @@ def enrich_event(
     field_specs: Sequence[FieldSpec] = INFERABLE_SPECS,
     pool: Optional[Executor] = None,
 ) -> Tuple[EventAbstraction, List[InferenceRun]]:
-    """Fill every unset ensemble-inferred field of one event, in registry
-    order, so that entities exist before the RAG-backed fields query for
-    them.
+    """Fill every unset ensemble-inferred field of one event, in
+    ``INFERABLE_SPECS`` order, so that entities exist before the RAG-backed
+    fields query for them.
 
     A prompt reads only the event's fixed fields, category and entities
     (``prompts.event_summary``), and retrieval only its entities and

@@ -1,9 +1,11 @@
-"""Event metadata field registry and ensemble consensus aggregation.
+"""The inferred metadata fields and their ensemble consensus aggregation.
 
-Each metadata field declares its data type and how independent ensemble
-runs are aggregated: strings by plurality, list entries by a two-vote
-rule, numbers by exact median, and relevance maps by per-key medians
-with a two-producer gate. Aggregation returns the FAILED sentinel when
+``INFERABLE_SPECS`` is the one list of fields the ensemble infers, in
+inference order; the feature export takes its event columns from it
+too. A field's data type decides how independent ensemble runs are
+aggregated: strings by plurality, list entries by a two-vote rule,
+numbers by exact median, and relevance maps by per-key medians with a
+two-producer gate. Aggregation returns the FAILED sentinel when
 consensus cannot be reached, which triggers a fresh attempt upstream.
 """
 
@@ -18,14 +20,7 @@ from typing import Any, Dict, List, Sequence
 
 from ..model import FAILED, InvariantError
 
-DATA_TYPES = (
-    "string", "string_list", "integer", "real", "real_map", "integer_0_10",
-    "integer_list",
-)
-AGGREGATIONS = (
-    "fixed_on_creation", "plurality_string", "votes_ge_2", "median",
-    "per_entry_median", "multilevel_clustering",
-)
+DATA_TYPES = ("string", "string_list", "integer", "real", "real_map", "integer_0_10")
 
 # numeric runs disagreeing by more than this factor are not a consensus
 SPREAD_GUARD_FACTOR = 10.0
@@ -35,47 +30,37 @@ _TRAILING_PUNCT = ".,;:!?…"
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """How one metadata field is inferred and aggregated."""
+    """One ensemble-inferred metadata field."""
 
     field_name: str
     data_type: str
-    aggregation: str
-    prompt_template_id: str
-    uses_rag: bool = False
+    uses_rag: bool
 
     def __post_init__(self):
         if self.data_type not in DATA_TYPES:
             raise InvariantError("FieldSpec", "data_type", f"unknown data type {self.data_type!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise InvariantError("FieldSpec", "aggregation", f"unknown aggregation {self.aggregation!r}")
 
     @property
-    def ensemble_inferred(self) -> bool:
-        return self.aggregation not in ("fixed_on_creation", "multilevel_clustering")
+    def prompt_template_id(self) -> str:
+        return f"field_{self.field_name}_v1"
 
 
-# One spec per metadata field. Category and entities are inferred from
-# the extractor output and record alone; later fields also see retrieved
-# reference context.
-FIELD_REGISTRY = (
-    FieldSpec("date", "string", "fixed_on_creation", "none"),
-    FieldSpec("time", "string", "fixed_on_creation", "none"),
-    FieldSpec("description", "string", "fixed_on_creation", "none"),
-    FieldSpec("category", "string", "plurality_string", "field_category_v1"),
-    FieldSpec("entities", "string_list", "votes_ge_2", "field_entities_v1"),
-    FieldSpec("platforms", "string_list", "votes_ge_2", "field_platforms_v1", uses_rag=True),
-    FieldSpec("data_per_user_mb", "integer", "median", "field_data_per_user_mb_v1", uses_rag=True),
-    FieldSpec("audience_size", "integer", "median", "field_audience_size_v1", uses_rag=True),
-    FieldSpec("continent_relevance", "real_map", "per_entry_median", "field_continent_relevance_v1", uses_rag=True),
-    FieldSpec("nation_relevance", "real_map", "per_entry_median", "field_nation_relevance_v1", uses_rag=True),
-    FieldSpec("spike_duration_hours", "real", "median", "field_spike_duration_hours_v1", uses_rag=True),
-    FieldSpec("likelihood", "integer_0_10", "median", "field_likelihood_v1", uses_rag=True),
-    FieldSpec("semantic_signature", "integer_list", "multilevel_clustering", "none"),
+# In inference order. Category and entities are inferred from the extractor
+# output and record alone; the later fields also see reference context
+# retrieved for those entities.
+INFERABLE_SPECS = (
+    FieldSpec("category", "string", uses_rag=False),
+    FieldSpec("entities", "string_list", uses_rag=False),
+    FieldSpec("platforms", "string_list", uses_rag=True),
+    FieldSpec("data_per_user_mb", "integer", uses_rag=True),
+    FieldSpec("audience_size", "integer", uses_rag=True),
+    FieldSpec("continent_relevance", "real_map", uses_rag=True),
+    FieldSpec("nation_relevance", "real_map", uses_rag=True),
+    FieldSpec("spike_duration_hours", "real", uses_rag=True),
+    FieldSpec("likelihood", "integer_0_10", uses_rag=True),
 )
 
-FIELDS_BY_NAME = {spec.field_name: spec for spec in FIELD_REGISTRY}
-
-INFERABLE_SPECS = tuple(s for s in FIELD_REGISTRY if s.ensemble_inferred)
+FIELDS_BY_NAME = {spec.field_name: spec for spec in INFERABLE_SPECS}
 
 
 def normalize_string(s: str) -> str:
@@ -190,36 +175,27 @@ def _spread_violated(values: Sequence[float]) -> bool:
 
 
 def aggregate_runs(spec: FieldSpec, run_values: Sequence) -> Any:
-    """Aggregate one attempt's parsed run values per the field's rule.
+    """Aggregate one attempt's parsed run values by the field's data type.
 
     ``run_values`` holds one entry per ensemble run, with None marking a
     run that abstained (parse failure or backend error). Returns the
     consensus value, or the FAILED sentinel when there is none:
 
-    - plurality_string: most frequent normalized string; fails below two
-      votes; ties break to the lexicographically smallest.
-    - votes_ge_2: normalized entries appearing in at least two runs;
+    - string: plurality of normalized strings; fails below two votes;
+      ties break to the lexicographically smallest.
+    - string_list: normalized entries appearing in at least two runs;
       fails only if every run abstained.
-    - median: exact median (mean of middle two); fails when the runs
-      spread beyond the 10x sanity guard.
-    - per_entry_median: per normalized key, median over producing runs,
-      keys kept only with at least two producers; the spread guard
-      applies per key.
-
-    fixed_on_creation fields keep their creation value and are never
-    re-aggregated; multilevel_clustering is computed by the clustering
-    stage. Both reject aggregation outright.
+    - integer, real, integer_0_10: exact median (mean of middle two);
+      fails when the runs spread beyond the 10x sanity guard.
+    - real_map: per normalized key, median over producing runs, keys
+      kept only with at least two producers; the spread guard applies
+      per key.
     """
-    if spec.aggregation == "fixed_on_creation":
-        raise ValueError(f"{spec.field_name} is fixed on creation; not ensemble-aggregated")
-    if spec.aggregation == "multilevel_clustering":
-        raise ValueError(f"{spec.field_name} is produced by clustering; not ensemble-aggregated")
-
     values = [v for v in run_values if v is not None]
     if not values:
         return FAILED
 
-    if spec.aggregation == "plurality_string":
+    if spec.data_type == "string":
         counts: Dict[str, int] = {}
         for v in values:
             key = normalize_string(str(v))
@@ -230,7 +206,7 @@ def aggregate_runs(spec: FieldSpec, run_values: Sequence) -> Any:
         winner = min(counts, key=lambda k: (-counts[k], k))
         return winner if counts[winner] >= 2 else FAILED
 
-    if spec.aggregation == "votes_ge_2":
+    if spec.data_type == "string_list":
         counts = {}
         for run in values:
             seen = {normalize_string(str(e)) for e in run if normalize_string(str(e))}
@@ -238,13 +214,7 @@ def aggregate_runs(spec: FieldSpec, run_values: Sequence) -> Any:
                 counts[entry] = counts.get(entry, 0) + 1
         return tuple(sorted(e for e, c in counts.items() if c >= 2))
 
-    if spec.aggregation == "median":
-        nums = [float(v) for v in values]
-        if _spread_violated(nums):
-            return FAILED
-        return statistics.median(nums)
-
-    if spec.aggregation == "per_entry_median":
+    if spec.data_type == "real_map":
         per_key: Dict[str, List[float]] = {}
         for run in values:
             for k, v in run.items():
@@ -258,7 +228,10 @@ def aggregate_runs(spec: FieldSpec, run_values: Sequence) -> Any:
             out[key] = statistics.median(nums)
         return out
 
-    raise AssertionError(f"unreachable aggregation {spec.aggregation}")
+    nums = [float(v) for v in values]  # integer, real, integer_0_10
+    if _spread_violated(nums):
+        return FAILED
+    return statistics.median(nums)
 
 
 def apply_consensus(event, spec: FieldSpec, value):

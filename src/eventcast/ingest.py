@@ -230,10 +230,10 @@ class HttpJsonConnector:
                 break
             except RemoteError as exc:
                 last_exc = exc
-                wait = self.backoff_seconds * (2 ** attempt)
-                logger.warning("connector fetch failed (attempt %d/%d): %s; backing off %.1fs",
-                               attempt + 1, self.max_retries, exc, wait)
-                time_mod.sleep(wait)
+                logger.warning("connector fetch failed (attempt %d/%d): %s",
+                               attempt + 1, self.max_retries, exc)
+                if attempt + 1 < self.max_retries:  # back off only before another attempt
+                    time_mod.sleep(self.backoff_seconds * (2 ** attempt))
         else:
             raise ConnectorError(f"connector unreachable after {self.max_retries} attempts: {last_exc}")
         if isinstance(payload, dict):

@@ -269,8 +269,9 @@ class SpikeRecord:
     from_dict = classmethod(from_json_dict)
 
     def key(self) -> tuple:
-        """Identity for joining spikes across files (no stored id)."""
-        return (self.network_id, utc_to_iso(self.start), utc_to_iso(self.end))
+        """Identity for joining spikes across files (no stored id): both
+        bounds are UTC, so equal keys mean equal ISO bounds."""
+        return (self.network_id, self.start, self.end)
 
 
 # -- discussion content ------------------------------------------------------

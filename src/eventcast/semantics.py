@@ -23,7 +23,6 @@ from .inference.backends import thread_pool
 from .inference.fields import INFERABLE_SPECS
 from .model import EventAbstraction, SemanticSignature
 from .remote import JsonEndpoint, RemoteError
-from .store import EventStore
 
 logger = logging.getLogger(__name__)
 
@@ -128,14 +127,15 @@ def event_summary_text(event: EventAbstraction) -> str:
     return "\n".join(parts)
 
 
-def embed_event(event: EventAbstraction, embedder, retries: int = 1) -> np.ndarray:
+def embed_event(event: EventAbstraction, embedder) -> np.ndarray:
     """Embed one event's summary text as a float64 vector; deterministic per
-    embedder. A zero or non-finite vector is rejected."""
+    embedder. A failed request is retried once. A zero or non-finite vector
+    is rejected."""
     if not event.description.strip():
         raise ValueError(f"event {event.event_id} has no description to embed")
     text = event_summary_text(event)
     last_exc: Optional[Exception] = None
-    for _ in range(retries + 1):
+    for _ in range(2):
         try:
             vector = embedder.embed(text)
             break
@@ -234,17 +234,14 @@ def find_duplicates(
     return groups
 
 
-def merge_events(
-    group: Sequence[EventAbstraction], store: Optional[EventStore] = None
-) -> EventAbstraction:
+def merge_events(group: Sequence[EventAbstraction]) -> EventAbstraction:
     """Merge one duplicate group under a single surviving abstraction.
 
     The survivor is the earliest-mentioned event (ties break to the
     smallest id, so merging is deterministic). Its source records become
     the union, absorbed ids land in merge_history, and every non-fixed
     metadata field is cleared for re-inference over the expanded record
-    set. When a store is given, tombstones plus the replacement are
-    appended atomically.
+    set.
     """
     if len(group) < 2:
         raise ValueError("merge group must contain at least 2 events")
@@ -260,20 +257,16 @@ def merge_events(
         for rid in event.source_records:
             if rid not in source_records:
                 source_records.append(rid)
-    absorbed_ids = tuple(e.event_id for e in absorbed)
-    merged = replace(
+    return replace(
         survivor,
         source_records=tuple(source_records),
         first_mentioned_at=min(e.first_mentioned_at for e in members),
-        merge_history=survivor.merge_history + absorbed_ids,
+        merge_history=survivor.merge_history + tuple(e.event_id for e in absorbed),
         # non-fixed metadata is stale: re-infer with the expanded records
         **dict.fromkeys(spec.field_name for spec in INFERABLE_SPECS),
         semantic_signature=None,
         low_confidence_fields=(),
     )
-    if store is not None:
-        store.apply_merge(merged, absorbed_ids)
-    return merged
 
 
 # -- k-means -----------------------------------------------------------------

@@ -383,7 +383,7 @@ def synth_corpus(scenario: Scenario) -> Tuple[List[RawPost], Dict[str, str], Dic
     by_id = {e.event_id: e for e in enriched}
     for group_ids in find_duplicates(enriched, embeddings,
                                      sim_threshold=RUN_DEFAULTS.dedup_threshold):
-        merged = merge_events([by_id[eid] for eid in group_ids], store=None)
+        merged = merge_events([by_id[eid] for eid in group_ids])
         planted = planted_by_id[merged.event_id]
         records_by_id = {
             record.record_id: record

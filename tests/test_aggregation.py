@@ -13,38 +13,35 @@ from eventcast.inference.fields import (
 )
 from eventcast.model import FAILED
 
-CATEGORY = FIELDS_BY_NAME["category"]            # plurality_string
-ENTITIES = FIELDS_BY_NAME["entities"]            # votes_ge_2
-AUDIENCE = FIELDS_BY_NAME["audience_size"]       # median
-CONTINENTS = FIELDS_BY_NAME["continent_relevance"]  # per_entry_median
+CATEGORY = FIELDS_BY_NAME["category"]            # string: plurality
+ENTITIES = FIELDS_BY_NAME["entities"]            # string_list: two votes
+AUDIENCE = FIELDS_BY_NAME["audience_size"]       # integer: median
+CONTINENTS = FIELDS_BY_NAME["continent_relevance"]  # real_map: per-key median
 
 
 class TestRegistry:
     def test_every_metadata_row_has_one_spec(self):
-        from eventcast.inference.fields import FIELD_REGISTRY
-        names = [s.field_name for s in FIELD_REGISTRY]
-        assert len(names) == len(set(names)) == 13
-        expected_aggregations = {
-            "date": "fixed_on_creation",
-            "time": "fixed_on_creation",
-            "description": "fixed_on_creation",
-            "category": "plurality_string",
-            "entities": "votes_ge_2",
-            "platforms": "votes_ge_2",
-            "data_per_user_mb": "median",
-            "audience_size": "median",
-            "continent_relevance": "per_entry_median",
-            "nation_relevance": "per_entry_median",
-            "spike_duration_hours": "median",
-            "likelihood": "median",
-            "semantic_signature": "multilevel_clustering",
+        from eventcast.inference.fields import INFERABLE_SPECS
+        from eventcast.inference.prompts import load_template
+        assert {s.field_name: (s.data_type, s.uses_rag) for s in INFERABLE_SPECS} == {
+            "category": ("string", False),
+            "entities": ("string_list", False),
+            "platforms": ("string_list", True),
+            "data_per_user_mb": ("integer", True),
+            "audience_size": ("integer", True),
+            "continent_relevance": ("real_map", True),
+            "nation_relevance": ("real_map", True),
+            "spike_duration_hours": ("real", True),
+            "likelihood": ("integer_0_10", True),
         }
-        assert {s.field_name: s.aggregation for s in FIELD_REGISTRY} == expected_aggregations
+        assert len(FIELDS_BY_NAME) == len(INFERABLE_SPECS)
+        for spec in INFERABLE_SPECS:
+            assert load_template(spec.prompt_template_id)
 
-    def test_unknown_aggregation_rejected(self):
+    def test_unknown_data_type_rejected(self):
         from eventcast.model import InvariantError
-        with pytest.raises(InvariantError):
-            FieldSpec("x", "string", "majority", "tpl")
+        with pytest.raises(InvariantError, match="unknown data type"):
+            FieldSpec("semantic_signature", "integer_list", False)
 
 
 class TestPluralityString:
@@ -147,16 +144,6 @@ class TestPermutationInvariance:
                     rng.shuffle(runs)
                     results.add(repr(aggregate_runs(spec, runs)))
                 assert len(results) == 1, f"{spec.field_name} not permutation-invariant on {runs}"
-
-
-class TestFixedFields:
-    def test_fixed_on_creation_never_aggregated(self):
-        with pytest.raises(ValueError, match="fixed on creation"):
-            aggregate_runs(FIELDS_BY_NAME["date"], ["2025-07-01"] * 3)
-
-    def test_clustering_field_never_aggregated(self):
-        with pytest.raises(ValueError, match="clustering"):
-            aggregate_runs(FIELDS_BY_NAME["semantic_signature"], [[1, 2]] * 3)
 
 
 class TestMedianOutlierInsensitivity:

@@ -147,6 +147,14 @@ class TestIngest:
         lines = [l for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) >= 19
 
+    def test_no_filter_flag_exits_2_naming_both(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        code = main(["ingest", "--corpus", str(synth_dir / "posts.jsonl"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--search-term" in err and "--community" in err
+        assert not out.exists()
+
 
 class TestStageChain:
     def test_infer_dedup_cluster_correlate_report(self, synth_dir, tmp_path, capsys):

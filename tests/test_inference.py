@@ -211,12 +211,6 @@ class TestInferField:
                            field_stub(event, spec, completions))
         assert run1 == run2
 
-    def test_fixed_field_rejected(self):
-        event = make_event()
-        with pytest.raises(ValueError, match="not ensemble-inferred"):
-            infer_field(event, FIELDS_BY_NAME["date"], ContextBundle("evt-1", ()),
-                        StubLlmBackend({}))
-
     def test_missing_fixture_is_fatal_naming_hash(self):
         event = make_event()
         spec = FIELDS_BY_NAME["category"]

@@ -289,14 +289,17 @@ class TestHttpConnector:
         connector.endpoint.close()
         assert [p.post_id for p in kept] == ["h2"]
 
-    def test_exhausted_retries_raise_retryable(self, local_api):
+    def test_exhausted_retries_raise_retryable(self, local_api, monkeypatch):
         _PostsHandler.fail_times = 99
+        sleeps = []
+        monkeypatch.setattr("eventcast.ingest.time_mod.sleep", sleeps.append)
         connector = HttpJsonConnector(local_api, requests_per_minute=6000,
                                       max_retries=2, backoff_seconds=0.01)
         with pytest.raises(ConnectorError) as err:
             list(connector.list_raw())
         connector.endpoint.close()
         assert err.value.retryable
+        assert sleeps == [0.01]  # between the two attempts, not after the last
         _PostsHandler.fail_times = 0
 
 

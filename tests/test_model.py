@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,16 @@ class TestSpikeRecord:
         with pytest.raises(InvariantError, match="peak_z"):
             SpikeRecord("net", MONDAY, MONDAY.replace(hour=1), peak_z=2.0,
                         mean_z=3.0, duration_minutes=60.0)
+
+    def test_key_is_utc_whatever_the_offset_given(self):
+        plus_two = timezone(timedelta(hours=2))
+        local = SpikeRecord("net", MONDAY.astimezone(plus_two),
+                            MONDAY.replace(hour=1).astimezone(plus_two),
+                            peak_z=4.0, mean_z=3.0, duration_minutes=60.0)
+        utc = SpikeRecord("net", MONDAY, MONDAY.replace(hour=1), peak_z=4.0,
+                          mean_z=3.0, duration_minutes=60.0)
+        assert local.key() == utc.key() == ("net", MONDAY, MONDAY.replace(hour=1))
+        assert all(t.tzinfo is timezone.utc for t in local.key()[1:])
 
 
 class TestContentRecord:

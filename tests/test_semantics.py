@@ -440,7 +440,8 @@ class TestMergeEvents:
         with EventStore(tmp_path / "events.jsonl") as store:
             store.append(early)
             store.append(late)
-            merged = merge_events([early, late], store=store)
+            merged = merge_events([early, late])
+            store.apply_merge(merged, merged.merge_history)
         live = store.load_live()
         assert [e.event_id for e in live] == ["evt-early"]
         # event count decreased by group size - 1
