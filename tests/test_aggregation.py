@@ -104,6 +104,14 @@ class TestMedian:
     def test_all_zero_agrees(self):
         assert aggregate_runs(AUDIENCE, [0, 0, 0]) == 0
 
+    def test_real_and_integer_0_10_take_the_median(self):
+        duration = FIELDS_BY_NAME["spike_duration_hours"]   # real
+        likelihood = FIELDS_BY_NAME["likelihood"]           # integer_0_10
+        assert aggregate_runs(duration, [1.5, 2.0, 4.0]) == 2.0
+        assert aggregate_runs(duration, [0.5, 100.0, 2.0]) is FAILED
+        assert aggregate_runs(likelihood, [7, 9, None]) == 8
+        assert aggregate_runs(likelihood, [3, 6, 9]) == 6
+
 
 class TestPerEntryMedian:
     def test_derived_per_key_oracle(self):

@@ -255,6 +255,22 @@ class TestExportFeatures:
         assert row["sig_k10"] == "3" and row["sig_k100"] == "42"
         assert row["target_peak_z"] == "0.5"
 
+    def test_event_columns_follow_inferable_specs(self):
+        from eventcast.inference.fields import INFERABLE_SPECS
+        assert EVENT_FEATURE_COLUMNS == (
+            ("event_date", "event_time", "event_time_utc", "description")
+            + tuple(spec.field_name for spec in INFERABLE_SPECS))
+        z = z_series("net-eu-1", datetime(2025, 6, 30, tzinfo=UTC), hours=7 * 24)
+        header, rows = export_features([full_event()], {"net-eu-1": z}, REGIONS,
+                                       levels=(10, 100))
+        row = dict(zip(header, rows[0]))
+        # string_list cells join with "|"; scalar cells print as they are
+        assert row["entities"] == "velmora hawks|drassen united"
+        assert row["platforms"] == "streamarena"
+        assert row["category"] == "sports"
+        assert row["likelihood"] == "9"
+        assert row["spike_duration_hours"] == "2.0"
+
     def test_window_width(self):
         event = full_event()
         header, rows = export_features([event], {}, REGIONS, levels=(10,), window_days=3)
