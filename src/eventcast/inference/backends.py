@@ -12,8 +12,9 @@ fetcher whose calls wait on the network says so with a true
 ``waits_on_network`` class attribute; a stage given none of those runs
 every call inline on the caller's thread instead. Each HTTP client sends
 through its own ``remote.JsonEndpoint``, which reuses an idle keep-alive
-connection or opens one more, so a client holds at most one connection
-per request in flight, and opens at most
+connection of its server (shared by every client there) or opens one
+more, so the clients of one server hold at most one connection per
+request in flight between them, and open at most
 ``remote.MAX_OPENING_CONNECTIONS`` at a time.
 """
 
@@ -36,12 +37,18 @@ logger = logging.getLogger(__name__)
 # stage_infer and stage_dedup run as many event threads again, so a stage
 # that waits on the network runs twice this many threads; in-process
 # backends never start one (see thread_pool). On the remote_services
-# benchmark workload's inputs (15 ms per request, seed 1, 2 cores, one BLAS
-# thread, a fresh emulator per run) the median of five interleaved runs took
-# 1.16 s at 16, 0.97 s at 24, 0.88 s at 32, 0.93 s at 48 and 0.93 s at 64.
-# The infer stage took 0.81, 0.61, 0.59, 0.57 and 0.58 s, so it flattens at
-# 32, while dedup stayed near 0.21 s at every cap: each merge survivor's
-# re-inference is a chain of request rounds that wait on the one before.
+# benchmark workload's inputs (15 ms per request, 2 cores, one BLAS thread,
+# a fresh emulator per run, the clients sharing one keep-alive pool) the
+# median of 8 interleaved runs took 0.71, 0.68 and 0.66 s at 32, 48 and 64
+# on seed 1, and 0.69, 0.66 and 0.70 s on seed 2. The infer stage took
+# 0.47, 0.43 and 0.44 s (seed 1) and dedup 0.14, 0.13 and 0.13 s, though
+# two merge survivors' seven grounded fields times three ensemble members
+# are a 42-request wave. The emulator saw 32 requests in flight in every
+# run at 32, but 48 in only 11 of 16 runs at 48 and 64 in none at 64: a
+# higher cap mostly waits on MAX_OPENING_CONNECTIONS. 48 saved about
+# 0.03 s (within the 0.05-0.07 s quartile spread on seed 1, beyond it on
+# seed 2), but CI checks that a short run reaches the cap, which 48 does
+# not reliably do, so 32 stays.
 # However high the cap, at most remote.MAX_OPENING_CONNECTIONS new
 # connections to one address wait for a first answer at a time.
 MAX_CONCURRENT_REQUESTS = 32

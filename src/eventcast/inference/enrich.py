@@ -16,6 +16,7 @@ from ..textclean import clean_text
 from .backends import (
     BackendError,
     BackendTimeout,
+    InlineExecutor,
     LlmBackend,
     StubFixtureMissing,
     send_retrying_timeouts,
@@ -95,23 +96,27 @@ class HttpRetriever:
 
 
 def enrich_with_context(
-    event: EventAbstraction, retriever: RetrievalClient, max_docs: int = 3
+    event: EventAbstraction, retriever: RetrievalClient, max_docs: int = 3,
+    pool: Executor = InlineExecutor(),
 ) -> ContextBundle:
     """Retrieve reference summaries for an event's entities.
 
-    Queries are the event's entities followed by its description; docs
-    are pooled in query order, deduplicated by url, and capped at
-    max_docs. Retrieval failure degrades to an empty bundle so inference
-    can proceed without reference context.
+    Queries are the event's entities followed by its description, all
+    submitted to ``pool`` at once, in that order; docs are pooled in query
+    order, deduplicated by url, and capped at max_docs. The answers of
+    queries after the one that fills max_docs are not read, so a failure of
+    one of them is ignored; a failure of any query before degrades to an
+    empty bundle so inference can proceed without reference context.
     """
     queries = list(event.entities or ()) + [event.description]
+    searches = [pool.submit(retriever.search, query, max_docs) for query in queries]
     docs: List[Tuple[str, str, str]] = []
     seen_urls = set()
-    for query in queries:
+    for query, search in zip(queries, searches):
         if len(docs) >= max_docs:
             break
         try:
-            results = retriever.search(query, max_docs)
+            results = search.result()
         except Exception as exc:
             logger.warning("retrieval failed for %r: %s; continuing without context", query, exc)
             return ContextBundle(event_id=event.event_id, retrieved_docs=())
@@ -236,7 +241,8 @@ def enrich_event(
     A prompt reads only the event's fixed fields, category and entities
     (``prompts.event_summary``), and retrieval only its entities and
     description, so each run of consecutive RAG-backed fields shares one
-    retrieval and is inferred together. Every request runs on ``pool`` (a
+    retrieval, whose queries are sent together from this thread, and is
+    inferred together. Every request runs on ``pool`` (a
     fresh ``thread_pool("request", llm, retriever)`` when None); runs come
     back in field order.
     """
@@ -250,8 +256,7 @@ def enrich_event(
             if uses_rag:
                 batches = [group]
                 if retriever is not None:
-                    context = pool.submit(enrich_with_context, event, retriever,
-                                          max_docs).result()
+                    context = enrich_with_context(event, retriever, max_docs, pool)
             for batch in batches:
                 batch_runs = _infer_fields(event, batch, context, llm, pool, ensemble_size,
                                            max_attempts, records)

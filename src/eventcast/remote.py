@@ -1,12 +1,18 @@
 """JSON over keep-alive HTTP for the remote services.
 
 One ``JsonEndpoint`` serves one URL: the LLM, embedder and retriever
-clients and the HTTP connector each own one. It keeps its connections
-open between requests in a lock-guarded idle stack. A request takes an
+clients and the HTTP connector each own one. A keep-alive connection
+belongs to the server, not to the endpoint: every endpoint at one address
+takes from and gives back to one lock-guarded idle stack, shared only by
+endpoints whose connections are interchangeable (the same TLS-ness, and
+the same CONNECT tunnel target and tunnel headers). A request takes an
 idle connection, or opens a new one when none is idle, and gives it back
 once the body has been read, unless the server said it would close it.
-So an endpoint holds at most one connection per caller in flight, and no
-connection is tied to a thread.
+So the clients of one server hold at most one connection per request in
+flight between them, and no connection is tied to a thread. An endpoint's
+``connections`` count is the connections it opened. The idle stacks are
+held only by their endpoints: once the last endpoint of an address is
+gone, its idle connections are closed.
 
 A server queues the connections it has not yet accepted in a short listen
 backlog and drops the SYN of one more, which the client resends only
@@ -34,6 +40,7 @@ import base64
 import json
 import os
 import threading
+import weakref
 from typing import Dict, Optional, Tuple
 from urllib.parse import unquote, urlencode, urlsplit
 
@@ -57,14 +64,25 @@ MAX_OPENING_CONNECTIONS = 4
 
 class _Openings:
     """The connections to one address that await their first status line,
-    and the idle stacks of the endpoints there, guarded by one condition."""
+    and its idle connections by route, guarded by one condition."""
 
     def __init__(self):
         self.changed = threading.Condition()
         self.pending = 0
+        self.idle: Dict[tuple, list] = {}
+        weakref.finalize(self, _close_idle, self.idle)
 
 
-_openings: Dict[Tuple[str, int], _Openings] = {}
+def _close_idle(idle: Dict[tuple, list]) -> None:
+    for stack in idle.values():
+        while stack:
+            stack.pop().close()
+
+
+# held by the endpoints only, so an address's idle connections are closed
+# once its last endpoint is gone
+_openings: weakref.WeakValueDictionary[Tuple[str, int], _Openings] = \
+    weakref.WeakValueDictionary()
 _openings_lock = threading.Lock()
 
 
@@ -93,7 +111,7 @@ class JsonEndpoint:
         self._tls_context = ssl.create_default_context() if parts.scheme == "https" else None
         self._address: Tuple[str, int] = (parts.hostname,
                                           parts.port or (443 if self._tls_context else 80))
-        self._tunnel: Optional[Tuple[str, int, Dict[str, str]]] = None
+        self._tunnel: Optional[Tuple[str, int, tuple]] = None  # host, port, header items
         proxy = getproxies().get(parts.scheme)
         if proxy and not proxy_bypass(parts.netloc.rpartition("@")[2]):
             via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
@@ -103,14 +121,16 @@ class JsonEndpoint:
                 auth["Proxy-Authorization"] = \
                     "Basic " + base64.b64encode(user_pass.encode("utf-8")).decode("ascii")
             if self._tls_context:
-                self._tunnel = (*self._address, auth)
+                self._tunnel = (*self._address, tuple(auth.items()))
             else:  # a plain-HTTP proxy takes the absolute URL
                 self._path = f"http://{parts.netloc}{self._path}"
                 self._headers.update(auth)
             self._address = (via.hostname, via.port or 80)
         with _openings_lock:
             self._openings = _openings.setdefault(self._address, _Openings())
-        self._idle: list = []  # guarded by self._openings.changed
+            # shared with every endpoint on the same route; guarded by self._openings.changed
+            self._idle: list = self._openings.idle.setdefault(
+                (self._tls_context is not None, self._tunnel), [])
         self._counts = dict.fromkeys(COUNTS, 0)
         self._inflight = 0
         self._lock = threading.Lock()
@@ -161,9 +181,11 @@ class JsonEndpoint:
             return dict(self._counts)
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens new ones."""
+        """Close the idle connections this endpoint shares with the others on
+        its route; a later request opens new ones."""
         with self._openings.changed:
-            idle, self._idle = self._idle, []
+            idle = self._idle[:]
+            self._idle.clear()
         for conn in idle:
             conn.close()
 
@@ -232,7 +254,7 @@ class JsonEndpoint:
             conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
         if self._tunnel is not None:
             tunnel_host, tunnel_port, tunnel_headers = self._tunnel
-            conn.set_tunnel(tunnel_host, tunnel_port, headers=tunnel_headers)
+            conn.set_tunnel(tunnel_host, tunnel_port, headers=dict(tunnel_headers))
         try:
             conn.connect()
         except BaseException:

@@ -14,13 +14,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import RawPost, assemble_content_record
 from .inference.backends import prompt_key
-from .inference.enrich import ContextBundle, FixtureRetriever, enrich_with_context
+from .inference.enrich import EMPTY_BUNDLE, FixtureRetriever, enrich_with_context
 from .inference.extract import build_event
 from .inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
 from .inference.prompts import build_extract_prompt, build_field_prompt
@@ -297,22 +298,22 @@ def _field_completions(ev: PlantedEvent, spec) -> List[str]:
 def _simulate_enrichment(event, planted: PlantedEvent, records, retriever,
                          fixtures: Dict[str, str]):
     """Walk the field chain exactly as the pipeline will, recording the
-    fixture completion for every (prompt, salt) the stub will see."""
-    for spec in INFERABLE_SPECS:
-        if spec.uses_rag:
-            context = enrich_with_context(event, retriever,
-                                          max_docs=RUN_DEFAULTS.max_context_docs)
-        else:
-            context = ContextBundle(event_id=event.event_id, retrieved_docs=())
-        prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
-                                    context_docs=context.retrieved_docs)
-        completions = _field_completions(planted, spec)
-        values = []
-        for run_index, completion in enumerate(completions):
-            fixtures[prompt_key(prompt, f"a1r{run_index}")] = completion
-            values.append(parse_value(spec.data_type, completion))
-        consensus = aggregate_runs(spec, values)
-        event = apply_consensus(event, spec, consensus)
+    fixture completion for every (prompt, salt) the stub will see. As in
+    ``enrich_event``, each run of consecutive RAG-backed fields shares one
+    retrieval."""
+    for uses_rag, specs in groupby(INFERABLE_SPECS, key=lambda spec: spec.uses_rag):
+        context = enrich_with_context(event, retriever, max_docs=RUN_DEFAULTS.max_context_docs) \
+            if uses_rag else EMPTY_BUNDLE
+        for spec in specs:
+            prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
+                                        context_docs=context.retrieved_docs)
+            completions = _field_completions(planted, spec)
+            values = []
+            for run_index, completion in enumerate(completions):
+                fixtures[prompt_key(prompt, f"a1r{run_index}")] = completion
+                values.append(parse_value(spec.data_type, completion))
+            consensus = aggregate_runs(spec, values)
+            event = apply_consensus(event, spec, consensus)
     return event
 
 

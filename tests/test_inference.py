@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from eventcast.inference.backends import (
     StubLlmBackend,
     TIMEOUT_RETRIES,
     prompt_key,
+    thread_pool,
 )
 from eventcast.inference.enrich import (
     ContextBundle,
@@ -31,8 +33,14 @@ from eventcast.inference.extract import (
     extract_events,
 )
 from eventcast.inference.fields import FIELDS_BY_NAME, ParseError, parse_value
-from eventcast.inference.prompts import FORMAT_REMINDER, build_extract_prompt, build_field_prompt
+from eventcast.inference.prompts import (
+    CONTEXT_DOC_CHARS,
+    FORMAT_REMINDER,
+    build_extract_prompt,
+    build_field_prompt,
+)
 from eventcast.model import FAILED, InvariantError
+from eventcast.textclean import clean_text
 
 from .conftest import INFERABLE, inferred_fields, make_event, make_record
 
@@ -254,6 +262,113 @@ class TestEnrichWithContext:
         retriever = FixtureRetriever({"A": [doc], "B": [doc]})
         bundle = enrich_with_context(event, retriever, max_docs=5)
         assert len(bundle.retrieved_docs) == 1
+
+
+def oracle_enrich_with_context(event, retriever, max_docs=3):
+    """Retrieval one query at a time, stopping once max_docs are pooled."""
+    queries = list(event.entities or ()) + [event.description]
+    docs = []
+    seen_urls = set()
+    for query in queries:
+        if len(docs) >= max_docs:
+            break
+        try:
+            results = retriever.search(query, max_docs)
+        except Exception:
+            return ContextBundle(event_id=event.event_id, retrieved_docs=())
+        for title, text, url in results:
+            if url in seen_urls or len(docs) >= max_docs:
+                continue
+            seen_urls.add(url)
+            docs.append((title, clean_text(text, "plain", max_chars=CONTEXT_DOC_CHARS), url))
+    return ContextBundle(event_id=event.event_id, retrieved_docs=tuple(docs))
+
+
+class ScriptedRetriever:
+    """Answers each query with its scripted docs, or raises its scripted
+    exception; records the queries in the order they arrive."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.queries = []
+        self.lock = threading.Lock()
+
+    def search(self, query, max_results):
+        with self.lock:
+            self.queries.append(query)
+        answer = self.answers.get(query, [])
+        if isinstance(answer, Exception):
+            raise answer
+        return answer[:max_results]
+
+
+def _docs(*urls):
+    return [(f"Title {url}", f"**{url}** text<br>with  markup", url) for url in urls]
+
+
+DESCRIPTION = "Continental Cup semi-final"
+RETRIEVAL_CASES = {
+    "first query fills max_docs": (("A", "B"), {"A": _docs("a1", "a2", "a3"),
+                                                "B": _docs("b1")}),
+    "duplicate urls across queries": (("A", "B"), {"A": _docs("u1", "u2"),
+                                                   "B": _docs("u2", "u3"),
+                                                   DESCRIPTION: _docs("u4")}),
+    "a reached query fails": (("A", "B"), {"A": _docs("a1"), "B": ConnectionError("down")}),
+    "an unreached query fails": (("A", "B"), {"A": _docs("a1", "a2", "a3"),
+                                              "B": ConnectionError("down")}),
+    "the description query fails": (("A",), {"A": _docs("a1"),
+                                             DESCRIPTION: TimeoutError("slow")}),
+    "no entities": ((), {DESCRIPTION: _docs("d1", "d2")}),
+    "nothing found": (("A", "B"), {}),
+}
+
+
+class TestEnrichWithContextOracle:
+    @pytest.mark.parametrize("case", RETRIEVAL_CASES)
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_bundle_matches_the_serial_loop(self, case, threaded):
+        entities, answers = RETRIEVAL_CASES[case]
+        event = make_event(description=DESCRIPTION, entities=entities or None)
+        expected = oracle_enrich_with_context(event, ScriptedRetriever(answers), max_docs=3)
+        retriever = ScriptedRetriever(answers)
+        if threaded:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                bundle = enrich_with_context(event, retriever, max_docs=3, pool=pool)
+        else:
+            bundle = enrich_with_context(event, retriever, max_docs=3)
+        assert bundle == expected
+        # every query is sent, whether its answer is read or not
+        assert sorted(retriever.queries) == sorted([*entities, DESCRIPTION])
+
+    def test_inline_queries_run_in_query_order(self):
+        retriever = ScriptedRetriever({"A": _docs("a1", "a2", "a3")})
+        event = make_event(description=DESCRIPTION, entities=("A", "B"))
+        with thread_pool("request", retriever) as pool:
+            enrich_with_context(event, retriever, max_docs=3, pool=pool)
+        assert retriever.queries == ["A", "B", DESCRIPTION]
+
+    def test_queries_are_in_flight_together_on_a_pool(self):
+        class BarrierRetriever(ScriptedRetriever):
+            """Answers no query until all three have arrived."""
+
+            waits_on_network = True
+
+            def __init__(self, answers):
+                super().__init__(answers)
+                self.barrier = threading.Barrier(3, timeout=10)
+
+            def search(self, query, max_results):
+                self.barrier.wait()  # raises BrokenBarrierError if the queries come one by one
+                return super().search(query, max_results)
+
+        answers = {"A": _docs("a1"), "B": _docs("b1"), DESCRIPTION: _docs("d1")}
+        retriever = BarrierRetriever(answers)
+        event = make_event(description=DESCRIPTION, entities=("A", "B"))
+        with thread_pool("request", retriever) as pool:
+            bundle = enrich_with_context(event, retriever, max_docs=3, pool=pool)
+        assert not retriever.barrier.broken
+        assert bundle == oracle_enrich_with_context(event, ScriptedRetriever(answers))
+        assert [url for *_, url in bundle.retrieved_docs] == ["a1", "b1", "d1"]
 
 
 class TestEnrichEvent:

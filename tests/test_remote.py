@@ -5,12 +5,17 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
+import http.client
 import json
 import logging
 import sys
 import threading
 import time
 import urllib.error
+import warnings
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -66,6 +71,7 @@ class Loopback(ThreadingHTTPServer):
         self.accepted = 0
         self.unanswered = 0  # accepted connections with no reply sent yet
         self.most_unanswered = 0
+        self.ended = 0  # accepted connections since closed
         self.requests = []  # (method, path, headers) in arrival order
 
     @property
@@ -79,6 +85,11 @@ class Loopback(ThreadingHTTPServer):
             self.unanswered += 1
             self.most_unanswered = max(self.most_unanswered, self.unanswered)
         return accepted
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.ended += 1
 
     def handle_error(self, request, client_address):
         pass  # a client that timed out leaves a broken pipe behind
@@ -117,6 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     do_GET = do_POST = _serve
 
+    def do_CONNECT(self):
+        self._serve()
+        self.close_connection = False  # the rest of this connection is the tunnel
+
 
 @pytest.fixture
 def serve():
@@ -141,18 +156,21 @@ def serve():
 
 @pytest.fixture(autouse=True)
 def close_endpoints(monkeypatch):
-    """Close the idle connections of every endpoint a test builds."""
+    """Close the idle connections of every endpoint a test builds and still
+    holds; the fixture itself holds none."""
     built = []
     init = JsonEndpoint.__init__
 
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(self)
+        built.append(weakref.ref(self))
 
     monkeypatch.setattr(JsonEndpoint, "__init__", tracked)
     yield
-    for endpoint in built:
-        endpoint.close()
+    for ref in built:
+        endpoint = ref()
+        if endpoint is not None:
+            endpoint.close()
 
 
 def json_answer(payload, status=200, delay=0.0):
@@ -173,21 +191,24 @@ class TestConnectionReuse:
                                      "timeouts": 0, "max_inflight": 1}
 
     def test_concurrent_requests_open_at_most_one_connection_per_worker(self, serve):
+        # two endpoints of one server take from and give back to one idle stack
         server = serve(json_answer({"ok": True}, delay=0.02))
-        endpoint = JsonEndpoint(f"{server.url}/api", timeout=5)
+        endpoints = [JsonEndpoint(f"{server.url}/a", timeout=5),
+                     JsonEndpoint(f"{server.url}/b", timeout=5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost count update
         try:
             with ThreadPoolExecutor(max_workers=MAX_CONCURRENT_REQUESTS) as pool:
-                answers = list(pool.map(lambda i: endpoint.request(params={"i": i}), range(36)))
+                answers = list(pool.map(lambda i: endpoints[i % 2].request(params={"i": i}),
+                                        range(72)))
         finally:
             sys.setswitchinterval(interval)
-        assert answers == [{"ok": True}] * 36
+        assert answers == [{"ok": True}] * 72
         assert 1 < server.accepted <= MAX_CONCURRENT_REQUESTS
-        counts = endpoint.counts()
-        assert counts["connections"] == server.accepted
-        assert len(server.requests) == counts["requests"] == 36
-        assert 1 < counts["max_inflight"] <= MAX_CONCURRENT_REQUESTS
+        counts = [endpoint.counts() for endpoint in endpoints]
+        assert sum(c["connections"] for c in counts) == server.accepted
+        assert len(server.requests) == 72 and [c["requests"] for c in counts] == [36, 36]
+        assert all(1 < c["max_inflight"] <= MAX_CONCURRENT_REQUESTS for c in counts)
 
     def test_new_connections_to_one_address_wait_for_first_answers(self, serve):
         # a burst on two endpoints of one server: more new connections at
@@ -201,7 +222,7 @@ class TestConnectionReuse:
         assert answers == [{"ok": True}] * 32
         assert server.most_unanswered <= MAX_OPENING_CONNECTIONS < MAX_CONCURRENT_REQUESTS
         opened = sum(e.counts()["connections"] for e in endpoints)
-        assert opened == server.accepted <= 2 * MAX_CONCURRENT_REQUESTS
+        assert opened == server.accepted <= MAX_CONCURRENT_REQUESTS  # the two share them
 
     def test_connection_closed_while_idle_is_replaced_once(self, serve):
         server = serve(json_answer({"ok": True}), close_after_reply=True)
@@ -234,6 +255,90 @@ class TestConnectionReuse:
         assert server.accepted == 2 and retriever.endpoint.counts()["connections"] == 2
         assert [urlsplit(path).query for _, path, _ in server.requests] == [
             "q=query&limit=3", "q=two+words&limit=1"]
+
+
+class PlainHTTPSConnection(http.client.HTTPConnection):
+    """Speaks plain HTTP where an https URL asks for TLS, so that a plain
+    loopback server stands in for a TLS server or for the far end of a
+    CONNECT tunnel."""
+
+    def __init__(self, host, port=None, *, context=None, **kwargs):
+        super().__init__(host, port, **kwargs)
+
+
+def service_answer(method, path, body):
+    """The reply each client expects, by path; an empty one to a CONNECT."""
+    if method == "CONNECT":
+        return 200, {}, b""
+    payload = {"/llm": {"completion": "text"}, "/embed": {"vector": [1.0, 0.0]},
+               "/posts": {"posts": [{"post_id": "h1"}]}}.get(
+        urlsplit(path).path, [{"title": "T", "text": "body", "url": "u"}])
+    return 200, {"Content-Type": "application/json"}, json.dumps(payload).encode()
+
+
+class TestSharedConnections:
+    @pytest.fixture(autouse=True)
+    def no_proxy_environment(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy",
+                     "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_every_client_of_one_server_reuses_one_connection(self, serve):
+        server = serve(service_answer)
+        llm = HttpLlmBackend(LlmBackendConfig(endpoint_url=f"{server.url}/llm", model_name="m"))
+        embedder = HttpEmbedder(f"{server.url}/embed", "m")
+        retriever = HttpRetriever(f"{server.url}/search")
+        connector = HttpJsonConnector(f"{server.url}/posts", requests_per_minute=6000)
+        for _ in range(2):
+            assert llm.send("prompt") == "text"
+            assert embedder.embed("text") == [1.0, 0.0]
+            assert retriever.search("query", 3) == [("T", "body", "u")]
+            assert list(connector.list_raw()) == [{"post_id": "h1"}]
+        assert server.accepted == 1 and len(server.requests) == 8
+        # the client that opened the connection counts it
+        assert [client.endpoint.counts()["connections"]
+                for client in (llm, embedder, retriever, connector)] == [1, 0, 0, 0]
+
+    def test_other_tls_or_tunnel_never_shares(self, serve, monkeypatch):
+        server = serve(service_answer)
+        monkeypatch.setattr(http.client, "HTTPSConnection", PlainHTTPSConnection)
+        port = server.server_address[1]
+        plain = JsonEndpoint(f"http://127.0.0.1:{port}/plain", timeout=5)
+        tls = JsonEndpoint(f"https://127.0.0.1:{port}/tls", timeout=5)
+        monkeypatch.setenv("https_proxy", server.url.replace("://", "://user:one@"))
+        to_a = [JsonEndpoint("https://a.invalid/x", timeout=5),
+                JsonEndpoint("https://a.invalid/y", timeout=5)]  # one tunnel
+        to_b = JsonEndpoint("https://b.invalid/x", timeout=5)
+        monkeypatch.setenv("https_proxy", server.url.replace("://", "://user:two@"))
+        to_a_as_two = JsonEndpoint("https://a.invalid/x", timeout=5)
+        endpoints = [plain, tls, *to_a, to_b, to_a_as_two]
+        for _ in range(2):
+            for endpoint in endpoints:
+                endpoint.request()
+        # plain, TLS, and one tunnel per target and proxy credentials
+        assert server.accepted == 5
+        tunnels = [(path, headers["Proxy-Authorization"])
+                   for method, path, headers in server.requests if method == "CONNECT"]
+        one, two = (f"Basic {base64.b64encode(c).decode()}" for c in (b"user:one", b"user:two"))
+        assert tunnels == [("a.invalid:443", one), ("b.invalid:443", one), ("a.invalid:443", two)]
+        assert [endpoint.counts()["connections"] for endpoint in endpoints] == [1, 1, 1, 0, 1, 1]
+
+    def test_idle_connections_close_with_their_last_endpoint(self, serve):
+        server = serve(json_answer({"ok": True}, delay=0.02))
+        endpoints = [JsonEndpoint(f"{server.url}/a", timeout=5),
+                     JsonEndpoint(f"{server.url}/b", timeout=5)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda i: endpoints[i % 2].request(), range(8)))
+        assert server.accepted >= 1 and server.ended == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del endpoints
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        deadline = time.monotonic() + 5
+        while server.ended < server.accepted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.ended == server.accepted
 
 
 class TestErrors:
@@ -269,8 +374,8 @@ class TestErrors:
             list(connector.list_raw())
         assert err.value.retryable
         assert str(err.value) == f"connector unreachable after 2 attempts: {message}"
-        # an error reply leaves the connection reusable
-        assert server.accepted == 4 and len(server.requests) == 5
+        # an error reply leaves the connection reusable, and the four clients share it
+        assert server.accepted == 1 and len(server.requests) == 5
 
     def test_any_2xx_answers_and_a_redirect_is_not_followed(self, serve):
         def answer(method, path, body):
@@ -447,15 +552,12 @@ class TestPipelineOverHttp:
         inputs = tmp_path / "scenario"
         config = PipelineConfig.load(materialize_scenario(default_scenario(seed=7), inputs))
         stub_report = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "stub")))
-        answer = scenario_answer(inputs, config)
-        servers = {service: serve(answer) for service in ("llm", "embedder", "retriever")}
+        server = serve(scenario_answer(inputs, config))
         http_config = dataclasses.replace(
             config, out_dir=str(tmp_path / "http"),
-            llm={"kind": "http", "endpoint_url": f"{servers['llm'].url}/llm",
-                 "model_name": "m"},
-            embedder={"kind": "http", "endpoint_url": f"{servers['embedder'].url}/embed",
-                      "model_name": "m"},
-            retriever={"kind": "http", "base_url": f"{servers['retriever'].url}/search"})
+            llm={"kind": "http", "endpoint_url": f"{server.url}/llm", "model_name": "m"},
+            embedder={"kind": "http", "endpoint_url": f"{server.url}/embed", "model_name": "m"},
+            retriever={"kind": "http", "base_url": f"{server.url}/search"})
         http_report = run_pipeline(http_config)
 
         assert http_report["status"] == "ok"
@@ -468,10 +570,14 @@ class TestPipelineOverHttp:
         assert stub_report["remote"] == {s: zero for s in
                                          ("connector", "llm", "retriever", "embedder")}
         assert http_report["remote"]["connector"] == zero
-        for service, server in servers.items():
+        requests = Counter(urlsplit(path).path for _, path, _ in server.requests)
+        opened = 0
+        for service, path in (("llm", "/llm"), ("embedder", "/embed"), ("retriever", "/search")):
             counts = dict(http_report["remote"][service])
             assert 1 <= counts.pop("max_inflight") <= MAX_CONCURRENT_REQUESTS
-            assert counts == {"requests": len(server.requests), "connections": server.accepted,
-                              "reconnects": 0, "timeouts": 0}
-        assert len(servers["embedder"].requests) == 22
-        assert len(servers["retriever"].requests) == 51
+            opened += counts.pop("connections")
+            assert counts == {"requests": requests[path], "reconnects": 0, "timeouts": 0}
+        assert requests["/embed"] == 22 and requests["/search"] == 51
+        # the three clients share the server's connections, and no more
+        # requests than the request pool's workers are ever in flight
+        assert opened == server.accepted <= MAX_CONCURRENT_REQUESTS
