@@ -9,7 +9,9 @@ the same CONNECT tunnel target and tunnel headers). A request takes an
 idle connection, or opens a new one when none is idle, and gives it back
 once the body has been read, unless the server said it would close it.
 So the clients of one server hold at most one connection per request in
-flight between them, and no connection is tied to a thread. An endpoint's
+flight between them, and no connection is tied to a thread. A request
+waits on a connection as long as its own endpoint's timeout says,
+whichever endpoint opened the connection. An endpoint's
 ``connections`` count is the connections it opened. The idle stacks are
 held only by their endpoints: once the last endpoint of an address is
 gone, its idle connections are closed.
@@ -226,10 +228,15 @@ class JsonEndpoint:
         with openings.changed:
             while not (reuse and self._idle) and openings.pending >= MAX_OPENING_CONNECTIONS:
                 openings.changed.wait()
-            if reuse and self._idle:
-                return self._idle.pop()
-            openings.pending += 1
-            return None
+            if not (reuse and self._idle):
+                openings.pending += 1
+                return None
+            conn = self._idle.pop()
+        # another endpoint may have opened it, and http.client sets the
+        # socket's timeout only when it connects
+        conn.timeout = self.timeout
+        conn.sock.settimeout(self.timeout)
+        return conn
 
     def _open_and_send(self, method: str, path: str, data: Optional[bytes],
                        headers: Dict[str, str]):

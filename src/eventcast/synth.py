@@ -300,7 +300,8 @@ def _simulate_enrichment(event, planted: PlantedEvent, records, retriever,
     """Walk the field chain exactly as the pipeline will, recording the
     fixture completion for every (prompt, salt) the stub will see. As in
     ``enrich_event``, each run of consecutive RAG-backed fields shares one
-    retrieval."""
+    retrieval; ``enrich_with_context`` makes a future per query even inline,
+    and one retrieval per field would make them seven times."""
     for uses_rag, specs in groupby(INFERABLE_SPECS, key=lambda spec: spec.uses_rag):
         context = enrich_with_context(event, retriever, max_docs=RUN_DEFAULTS.max_context_docs) \
             if uses_rag else EMPTY_BUNDLE

@@ -35,7 +35,13 @@ from eventcast.inference.backends import (
 from eventcast.inference.enrich import FixtureRetriever, HttpRetriever
 from eventcast.ingest import ConnectorError, HttpJsonConnector, HttpPageFetcher
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
-from eventcast.remote import COUNTS, MAX_OPENING_CONNECTIONS, JsonEndpoint, RemoteError
+from eventcast.remote import (
+    COUNTS,
+    MAX_OPENING_CONNECTIONS,
+    JsonEndpoint,
+    RemoteError,
+    RemoteTimeout,
+)
 from eventcast.semantics import (
     EmbeddingError,
     HashingStubEmbedder,
@@ -299,6 +305,33 @@ class TestSharedConnections:
         assert [client.endpoint.counts()["connections"]
                 for client in (llm, embedder, retriever, connector)] == [1, 0, 0, 0]
 
+    @staticmethod
+    def slow_answer(method, path, body):
+        """An immediate answer to /fast, and one after 0.5 s to /slow."""
+        return json_answer({"ok": True}, delay=0.5 if path == "/slow" else 0.0)(
+            method, path, body)
+
+    def test_a_reused_connection_waits_as_long_as_the_endpoint_reusing_it(self, serve):
+        server = serve(self.slow_answer)
+        quick = JsonEndpoint(f"{server.url}/fast", timeout=0.1)
+        patient = JsonEndpoint(f"{server.url}/slow", timeout=5)
+        assert quick.request() == {"ok": True}  # opens the connection
+        assert patient.request() == {"ok": True}
+        assert server.accepted == 1
+        assert patient.counts()["timeouts"] == 0
+
+    def test_a_reused_connection_times_out_as_soon_as_the_endpoint_reusing_it(self, serve):
+        server = serve(self.slow_answer)
+        patient = JsonEndpoint(f"{server.url}/fast", timeout=5)
+        quick = JsonEndpoint(f"{server.url}/slow", timeout=0.1)
+        assert patient.request() == {"ok": True}  # opens the connection
+        started = time.monotonic()
+        with pytest.raises(RemoteTimeout, match="no response within 0.1s"):
+            quick.request()
+        assert time.monotonic() - started < 0.4
+        assert server.accepted == 1
+        assert quick.counts()["connections"] == 0
+
     def test_other_tls_or_tunnel_never_shares(self, serve, monkeypatch):
         server = serve(service_answer)
         monkeypatch.setattr(http.client, "HTTPSConnection", PlainHTTPSConnection)
@@ -547,17 +580,25 @@ def scenario_answer(inputs, config: PipelineConfig):
 
 
 class TestPipelineOverHttp:
-    def test_artifacts_match_the_stub_run_and_counts_match_the_servers(self, serve,
-                                                                       tmp_path):
+    SERVICES = (("llm", "/llm"), ("embedder", "/embed"), ("retriever", "/search"))
+
+    def run_over_http(self, serve, tmp_path, servers: int):
+        """Run the pipeline on stub backends, then on HTTP backends whose three
+        services sit behind one loopback server or three; the artifacts must
+        match. Returns the HTTP run's report and each service's server."""
         inputs = tmp_path / "scenario"
         config = PipelineConfig.load(materialize_scenario(default_scenario(seed=7), inputs))
         stub_report = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "stub")))
-        server = serve(scenario_answer(inputs, config))
+        started = [serve(scenario_answer(inputs, config)) for _ in range(servers)]
+        server_of = {service: started[i % servers] for i, (service, _) in
+                     enumerate(self.SERVICES)}
         http_config = dataclasses.replace(
             config, out_dir=str(tmp_path / "http"),
-            llm={"kind": "http", "endpoint_url": f"{server.url}/llm", "model_name": "m"},
-            embedder={"kind": "http", "endpoint_url": f"{server.url}/embed", "model_name": "m"},
-            retriever={"kind": "http", "base_url": f"{server.url}/search"})
+            llm={"kind": "http", "endpoint_url": f"{server_of['llm'].url}/llm",
+                 "model_name": "m"},
+            embedder={"kind": "http", "endpoint_url": f"{server_of['embedder'].url}/embed",
+                      "model_name": "m"},
+            retriever={"kind": "http", "base_url": f"{server_of['retriever'].url}/search"})
         http_report = run_pipeline(http_config)
 
         assert http_report["status"] == "ok"
@@ -570,14 +611,26 @@ class TestPipelineOverHttp:
         assert stub_report["remote"] == {s: zero for s in
                                          ("connector", "llm", "retriever", "embedder")}
         assert http_report["remote"]["connector"] == zero
-        requests = Counter(urlsplit(path).path for _, path, _ in server.requests)
-        opened = 0
-        for service, path in (("llm", "/llm"), ("embedder", "/embed"), ("retriever", "/search")):
+        requests = Counter(urlsplit(path).path for server in started
+                           for _, path, _ in server.requests)
+        for service, path in self.SERVICES:
             counts = dict(http_report["remote"][service])
             assert 1 <= counts.pop("max_inflight") <= MAX_CONCURRENT_REQUESTS
-            opened += counts.pop("connections")
+            counts.pop("connections")
             assert counts == {"requests": requests[path], "reconnects": 0, "timeouts": 0}
         assert requests["/embed"] == 22 and requests["/search"] == 51
+        return http_report["remote"], server_of
+
+    def test_artifacts_match_the_stub_run_and_counts_match_the_servers(self, serve,
+                                                                       tmp_path):
+        remote, server_of = self.run_over_http(serve, tmp_path, servers=1)
         # the three clients share the server's connections, and no more
         # requests than the request pool's workers are ever in flight
-        assert opened == server.accepted <= MAX_CONCURRENT_REQUESTS
+        opened = sum(remote[service]["connections"] for service, _ in self.SERVICES)
+        assert opened == server_of["llm"].accepted <= MAX_CONCURRENT_REQUESTS
+
+    def test_services_on_three_servers_match_the_stub_run(self, serve, tmp_path):
+        remote, server_of = self.run_over_http(serve, tmp_path, servers=3)
+        for service, _ in self.SERVICES:
+            assert remote[service]["connections"] == server_of[service].accepted
+            assert 1 <= server_of[service].accepted <= MAX_CONCURRENT_REQUESTS
