@@ -69,7 +69,7 @@ for m in matches:
           f"offset {m.time_offset_minutes:+7.1f} min, score {m.match_score:.2f}")
 
 labeled = [(spikes[0], True), (spikes[1], True), (spikes[2], True)]
-report = coverage(labeled, matches)
+report = coverage(labeled, {m.spike.key() for m in matches})
 print("\ncoverage table (the unexplained spike is an honest miss):")
 header, rows = coverage_table(report)
 print(render_table(header, rows, "csv"))

@@ -10,14 +10,12 @@ from collections import Counter
 from pathlib import Path
 
 from .baseline import ConfigError, UnpopulatedBinsError, spike_frequency
-from .correlate import SpikeEventMatch, coverage, lead_time_cdf
+from .correlate import SpikeEventMatch, coverage, label_spikes, lead_time_cdf, load_labels
 from .ingest import FilterConfig
 from .model import ContentRecord, InferenceRun, SpikeRecord
 from .pipeline import (
     PipelineConfig,
     SeriesTooShort,
-    _label_spikes,
-    _load_labels,
     build_connector,
     build_embedder,
     build_llm,
@@ -190,20 +188,13 @@ def cmd_report(args) -> int:
         cdfs = lead_time_cdf(events, min_category_count=config.min_category_count)
         header, rows = lead_time_table(cdfs)
     elif args.kind == "coverage":
-        if args.labels and args.matches and args.spikes:
-            spikes = JsonlStore(args.spikes, SpikeRecord).load()
-            matches = JsonlStore(args.matches, SpikeEventMatch).load()
-            labeled, _planted = _label_spikes(spikes, _load_labels(args.labels), matches)
-            header, rows = coverage_table(coverage(labeled, matches))
-        else:
-            # fall back to the table a full pipeline run emitted
-            path = Path(args.coverage_csv)
-            if not path.exists():
-                print("coverage needs --labels/--matches/--spikes, or a pipeline-"
-                      f"emitted table at {path}", file=sys.stderr)
-                return 2
-            sys.stdout.write(path.read_text(encoding="utf-8"))
-            return 0
+        if not (args.labels and args.matches and args.spikes):
+            print("coverage needs --labels, --matches and --spikes", file=sys.stderr)
+            return 2
+        spikes = JsonlStore(args.spikes, SpikeRecord).load()
+        matched_keys = {m.spike.key() for m in JsonlStore(args.matches, SpikeEventMatch)}
+        labeled, _planted = label_spikes(spikes, load_labels(args.labels), matched_keys)
+        header, rows = coverage_table(coverage(labeled, matched_keys))
     else:
         raise SystemExit(f"unknown report kind {args.kind}")
     sys.stdout.write(render_table(header, rows, format=args.format))
@@ -297,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-category-count", type=int, default=DEFAULTS.min_category_count)
     p.add_argument("--labels", help="ground-truth labels.jsonl (coverage)")
     p.add_argument("--matches", help="matches.jsonl (coverage)")
-    p.add_argument("--coverage-csv", default="out/reports/coverage.csv",
-                   help="fallback: pipeline-emitted coverage table")
     p.set_defaults(fn=cmd_report)
 
     return parser

@@ -1,17 +1,21 @@
-"""Spike-event matching, coverage, lead-time CDFs, and feature export."""
+"""Spike-event matching, ground-truth labelling, coverage, lead-time CDFs,
+and feature export."""
 
 from __future__ import annotations
 
+import json
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baseline import ZSeries
 from .inference.fields import INFERABLE_SPECS
-from .model import EventAbstraction, SpikeRecord, from_json_dict, record_dict, utc_to_iso
+from .model import (EventAbstraction, SpikeRecord, from_json_dict, record_dict, utc_from_iso,
+                    utc_to_iso)
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +84,77 @@ def match_spikes_to_events(
     return matches
 
 
+def load_labels(path) -> List[dict]:
+    """The ground-truth labels of a labels.jsonl file, one dict per line."""
+    labels = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                labels.append(json.loads(line))
+    return labels
+
+
+def _overlaps(spike: SpikeRecord, start, end) -> bool:
+    """Whether the spike and the planted interval [start, end] share a
+    positive length of time, which an empty interval never does."""
+    return max(spike.start, start) < min(spike.end, end)
+
+
+def label_spikes(spikes: Sequence[SpikeRecord], labels: Sequence[dict],
+                 matched_keys: AbstractSet[tuple]):
+    """Label detected spikes against planted ground truth.
+
+    A detected spike is event-driven when it overlaps a planted interval
+    on its network. Also summarizes planted-event outcomes: a planted
+    event is covered when the key of some overlapping detected spike is
+    in ``matched_keys`` (the ``SpikeRecord.key()`` of every matched spike).
+    Each label's bounds are parsed once, in label order, so a malformed
+    label fails on the first one in file order.
+    """
+    intervals = [(label["network_id"], utc_from_iso(label["start"]), utc_from_iso(label["end"]))
+                 for label in labels]
+    intervals_by_network = defaultdict(list)
+    for network_id, start, end in intervals:
+        intervals_by_network[network_id].append((start, end))
+    spikes_by_network = defaultdict(list)
+    for spike in spikes:
+        spikes_by_network[spike.network_id].append(spike)
+
+    labeled = [
+        (spike, any(_overlaps(spike, start, end)
+                    for start, end in intervals_by_network.get(spike.network_id, ())))
+        for spike in spikes
+    ]
+
+    non_spont_total = non_spont_covered = 0
+    spont_total = spont_matched = 0
+    detected_planted = 0
+    for label, (network_id, start, end) in zip(labels, intervals):
+        overlapping = [s for s in spikes_by_network.get(network_id, ()) if _overlaps(s, start, end)]
+        if overlapping:
+            detected_planted += 1
+        matched = any(s.key() in matched_keys for s in overlapping)
+        if label.get("spontaneous"):
+            spont_total += 1
+            spont_matched += int(matched)
+        elif not label.get("sub_threshold"):
+            non_spont_total += 1
+            non_spont_covered += int(matched)
+    planted = {
+        "planted_total": len(labels),
+        "planted_detected": detected_planted,
+        "non_spontaneous_total": non_spont_total,
+        "non_spontaneous_covered": non_spont_covered,
+        "non_spontaneous_coverage": (
+            non_spont_covered / non_spont_total if non_spont_total else None
+        ),
+        "spontaneous_total": spont_total,
+        "spontaneous_matched": spont_matched,
+    }
+    return labeled, planted
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     per_network: Mapping  # network_id -> (covered, event_driven_total, fraction)
@@ -99,14 +174,14 @@ class CoverageReport:
 
 def coverage(
     labeled_spikes: Sequence[Tuple[SpikeRecord, bool]],
-    matches: Sequence[SpikeEventMatch],
+    matched_keys: AbstractSet[tuple],
 ) -> CoverageReport:
-    """Fraction of event-driven labeled spikes that got at least one match.
+    """Fraction of event-driven labeled spikes that got at least one match:
+    whose ``SpikeRecord.key()`` is in ``matched_keys``.
 
     Networks with no event-driven labeled spikes are omitted (noted in
     the report) rather than reported as 0/0.
     """
-    matched_keys = {m.spike.key() for m in matches}
     per_network: Dict[str, List[int]] = {}
     for spike, event_driven in labeled_spikes:
         stats = per_network.setdefault(spike.network_id, [0, 0])
@@ -217,9 +292,9 @@ def export_features(
     network_regions: Mapping[str, Mapping[str, str]],
     levels: Sequence[int],
     window_days: int = DEFAULT_FEATURE_WINDOW_DAYS,
-    networks: Optional[Sequence[str]] = None,
 ) -> Tuple[List[str], List[List[str]]]:
-    """Flatten events into one row per (event, network).
+    """Flatten events into one row per (event, network), for every network
+    with a Z series or a configured region, in sorted order.
 
     The window is window_days wide, centered on the event's UTC time.
     Relevance maps resolve to the network's configured country/continent;
@@ -230,8 +305,7 @@ def export_features(
     """
     if window_days <= 0:
         raise ValueError("window_days must be positive")
-    if networks is None:
-        networks = sorted(set(z_by_network) | set(network_regions))
+    networks = sorted(set(z_by_network) | set(network_regions))
     half = timedelta(days=window_days) / 2
 
     header = feature_header(levels)

@@ -231,7 +231,6 @@ def enrich_event(
     ensemble_size: int = 3,
     max_attempts: int = 3,
     max_docs: int = 3,
-    field_specs: Sequence[FieldSpec] = INFERABLE_SPECS,
     pool: Optional[Executor] = None,
 ) -> Tuple[EventAbstraction, List[InferenceRun]]:
     """Fill every unset ensemble-inferred field of one event, in
@@ -246,7 +245,7 @@ def enrich_event(
     fresh ``thread_pool("request", llm, retriever)`` when None); runs come
     back in field order.
     """
-    specs = [spec for spec in field_specs if getattr(event, spec.field_name) is None]
+    specs = [spec for spec in INFERABLE_SPECS if getattr(event, spec.field_name) is None]
     runs: List[InferenceRun] = []
     with nullcontext(pool) if pool is not None else \
             thread_pool("request", llm, retriever) as pool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import time as time_mod
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +30,9 @@ from .baseline import (
 from .correlate import (
     coverage,
     export_features,
+    label_spikes,
     lead_time_cdf,
+    load_labels,
     match_spikes_to_events,
 )
 from .ingest import (
@@ -56,7 +57,7 @@ from .inference.backends import (
 )
 from .inference.enrich import FixtureRetriever, HttpRetriever, enrich_event
 from .inference.extract import ExtractionError, build_event, extract_events
-from .model import ContentRecord, EventAbstraction, SpikeRecord, from_json_dict, to_json_dict, utc_from_iso
+from .model import ContentRecord, EventAbstraction, SpikeRecord, from_json_dict, to_json_dict
 from .semantics import (
     STUB_DIM,
     EventEmbeddings,
@@ -155,13 +156,9 @@ def build_llm(config: PipelineConfig):
             raise ValueError("stub llm backend needs fixtures_path")
         return StubLlmBackend.from_file(path)
     if kind == "http":
-        backend_config = LlmBackendConfig(
-            endpoint_url=config.llm["endpoint_url"],
-            model_name=config.llm["model_name"],
-            temperature=config.llm.get("temperature", 0.7),
-            max_output_tokens=config.llm.get("max_output_tokens", 2048),
-            timeout_seconds=config.llm.get("timeout_seconds", 120),
-        )
+        backend_config = from_json_dict(LlmBackendConfig, {
+            key: value for key, value in config.llm.items()
+            if key not in ("kind", "auth_token_env")})
         return HttpLlmBackend(backend_config, auth_token_env=config.llm.get("auth_token_env"))
     raise ValueError(f"unknown llm backend kind {kind!r}")
 
@@ -460,24 +457,22 @@ def stage_detect_spikes(config: PipelineConfig, spikes_store):
 
 def stage_correlate(config: PipelineConfig, spikes: List[SpikeRecord],
                     events: List[EventAbstraction], matches_path):
-    """Match spikes to events and write the matches as JSONL."""
+    """Match spikes to events and write the matches as JSONL; returns the
+    keys of the matched spikes, which is all that the report reads of them."""
     matches = match_spikes_to_events(spikes, events, window_hours=config.match_window_hours)
     with open(matches_path, "w", encoding="utf-8") as fh:
         for match in matches:
             fh.write(json.dumps(match.to_dict(), sort_keys=True) + "\n")
-    return matches, {
-        "matches": len(matches),
-        "spikes_matched": len({m.spike.key() for m in matches}),
-    }
+    matched_keys = {m.spike.key() for m in matches}
+    return matched_keys, {"matches": len(matches), "spikes_matched": len(matched_keys)}
 
 
-def stage_report(config: PipelineConfig, spikes, events, matches, z_by_network, out_dir) -> dict:
+def stage_report(config: PipelineConfig, spikes, events, matched_keys, z_by_network,
+                 out_dir) -> dict:
     """Write the report tables and features.csv; returns the stage summary."""
     reports_dir = Path(out_dir) / "reports"
     reports_dir.mkdir(exist_ok=True)
-    histogram = spike_frequency(spikes, config.report_bins) if spikes else {
-        b: 0 for b in config.report_bins
-    }
+    histogram = spike_frequency(spikes, config.report_bins)
     header, rows = report_tables.spike_frequency_table(histogram)
     (reports_dir / "spike_frequency.csv").write_text(
         report_tables.render_table(header, rows), encoding="utf-8")
@@ -500,9 +495,9 @@ def stage_report(config: PipelineConfig, spikes, events, matches, z_by_network, 
     }
 
     if config.labels_path:
-        labels = _load_labels(config.labels_path)
-        labeled_spikes, planted = _label_spikes(spikes, labels, matches)
-        cov = coverage(labeled_spikes, matches)
+        labeled_spikes, planted = label_spikes(spikes, load_labels(config.labels_path),
+                                               matched_keys)
+        cov = coverage(labeled_spikes, matched_keys)
         header, rows = report_tables.coverage_table(cov)
         (reports_dir / "coverage.csv").write_text(
             report_tables.render_table(header, rows), encoding="utf-8")
@@ -574,11 +569,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 spikes, z_by_network, stages["detect_spikes"] = stage_detect_spikes(
                     config, stores["spikes"])
             with run_stage("correlate"):
-                matches, stages["correlate"] = stage_correlate(config, spikes, events,
-                                                               out_dir / "matches.jsonl")
+                matched_keys, stages["correlate"] = stage_correlate(
+                    config, spikes, events, out_dir / "matches.jsonl")
             with run_stage("report"):
-                stages["report"] = stage_report(config, spikes, events, matches, z_by_network,
-                                                out_dir)
+                stages["report"] = stage_report(config, spikes, events, matched_keys,
+                                                z_by_network, out_dir)
         except StageFailure:
             pass
 
@@ -603,75 +598,6 @@ def _remote_counts(clients: dict) -> dict:
         if endpoint:
             endpoint.close()
     return counts
-
-
-def _load_labels(path) -> List[dict]:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                labels.append(json.loads(line))
-    return labels
-
-
-def _overlaps(spike: SpikeRecord, start, end) -> bool:
-    """Whether the spike and the planted interval [start, end] share a
-    positive length of time, which an empty interval never does."""
-    return max(spike.start, start) < min(spike.end, end)
-
-
-def _label_spikes(spikes, labels, matches):
-    """Label detected spikes against planted ground truth.
-
-    A detected spike is event-driven when it overlaps a planted interval
-    on its network. Also summarizes planted-event outcomes: a planted
-    event is covered when some overlapping detected spike has a match.
-    Each label's bounds are parsed once, in label order, so a malformed
-    label fails on the first one in file order.
-    """
-    matched_keys = {m.spike.key() for m in matches}
-    intervals = [(label["network_id"], utc_from_iso(label["start"]), utc_from_iso(label["end"]))
-                 for label in labels]
-    intervals_by_network = defaultdict(list)
-    for network_id, start, end in intervals:
-        intervals_by_network[network_id].append((start, end))
-    spikes_by_network = defaultdict(list)
-    for spike in spikes:
-        spikes_by_network[spike.network_id].append(spike)
-
-    labeled = [
-        (spike, any(_overlaps(spike, start, end)
-                    for start, end in intervals_by_network.get(spike.network_id, ())))
-        for spike in spikes
-    ]
-
-    non_spont_total = non_spont_covered = 0
-    spont_total = spont_matched = 0
-    detected_planted = 0
-    for label, (network_id, start, end) in zip(labels, intervals):
-        overlapping = [s for s in spikes_by_network.get(network_id, ()) if _overlaps(s, start, end)]
-        if overlapping:
-            detected_planted += 1
-        matched = any(s.key() in matched_keys for s in overlapping)
-        if label.get("spontaneous"):
-            spont_total += 1
-            spont_matched += int(matched)
-        elif not label.get("sub_threshold"):
-            non_spont_total += 1
-            non_spont_covered += int(matched)
-    planted = {
-        "planted_total": len(labels),
-        "planted_detected": detected_planted,
-        "non_spontaneous_total": non_spont_total,
-        "non_spontaneous_covered": non_spont_covered,
-        "non_spontaneous_coverage": (
-            non_spont_covered / non_spont_total if non_spont_total else None
-        ),
-        "spontaneous_total": spont_total,
-        "spontaneous_matched": spont_matched,
-    }
-    return labeled, planted
 
 
 def materialize_scenario(scenario, out_dir) -> Path:

@@ -110,7 +110,9 @@ class JsonlStore(_AppendLog):
         self.record_type = record_type
         self.id_field = id_field
         self.id_prefix = id_prefix
-        self._count = self._count_existing()
+        # lines in the file, counted when a sequential id or len() first needs
+        # them, so that a store that is only read reads its file once
+        self._count: Optional[int] = None
 
     def _count_existing(self) -> int:
         if not self.path.exists():
@@ -128,10 +130,11 @@ class JsonlStore(_AppendLog):
             stored_id = d[self.id_field]
         else:
             # types without a natural id get a stable sequential one
-            stored_id = f"{self.id_prefix}-{self._count + 1:06d}"
+            stored_id = f"{self.id_prefix}-{len(self) + 1:06d}"
             d["stored_id"] = stored_id
         self._write([_dump(d)])
-        self._count += 1
+        if self._count is not None:
+            self._count += 1
         return stored_id
 
     def __iter__(self) -> Iterator:
@@ -144,9 +147,11 @@ class JsonlStore(_AppendLog):
                     yield self.record_type.from_dict(json.loads(line))
 
     def load(self) -> list:
-        return list(self)
+        return [record for record in self]  # list(self) would call len(), which counts lines
 
     def __len__(self) -> int:
+        if self._count is None:
+            self._count = self._count_existing()
         return self._count
 
 

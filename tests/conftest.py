@@ -9,6 +9,7 @@ import eventcast.pipeline as pipeline
 from eventcast.inference.fields import INFERABLE_SPECS
 from eventcast.ingest import RawPost
 from eventcast.model import ContentRecord, EventAbstraction, TrafficSeries
+from eventcast.synth import default_scenario
 
 UTC = timezone.utc
 MONDAY = datetime(2025, 6, 2, tzinfo=UTC)  # aligned week start
@@ -78,6 +79,15 @@ def make_post(post_id="p1", community="matchday", title="Cup final announced",
 @pytest.fixture
 def tmp_store_dir(tmp_path):
     return tmp_path / "stores"
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """A stub-backend run of ``default_scenario(7)``: (input dir, config, report)."""
+    base = tmp_path_factory.mktemp("default_run")
+    config = pipeline.PipelineConfig.load(
+        pipeline.materialize_scenario(default_scenario(seed=7), base))
+    return base, config, pipeline.run_pipeline(config)
 
 
 class OnTheNetwork:

@@ -259,23 +259,36 @@ class TestUnembeddableEvent:
 
 
 class TestReportCoverage:
-    def test_reads_pipeline_emitted_table(self, synth_dir, capsys):
-        main(["run", "--config", str(synth_dir / "pipeline.json")])
-        capsys.readouterr()
-        coverage_csv = synth_dir / "out" / "reports" / "coverage.csv"
-        assert main(["report", "coverage", "--coverage-csv", str(coverage_csv)]) == 0
-        out = capsys.readouterr().out
-        assert "network_id,event_driven_spikes,covered,coverage" in out
+    def inputs(self, synth_dir, pipeline_out):
+        return ["--labels", str(synth_dir / "labels.jsonl"),
+                "--matches", str(pipeline_out / "matches.jsonl"),
+                "--spikes", str(pipeline_out / "spikes.jsonl")]
 
-    def test_recomputes_from_inputs_as_json(self, synth_dir, capsys):
-        main(["run", "--config", str(synth_dir / "pipeline.json")])
+    def test_recomputes_the_runs_table(self, synth_dir, pipeline_out, capsys):
         capsys.readouterr()
-        out_dir = synth_dir / "out"
+        assert main(["report", "coverage", *self.inputs(synth_dir, pipeline_out)]) == 0
+        assert capsys.readouterr().out == \
+            (pipeline_out / "reports" / "coverage.csv").read_text(encoding="utf-8")
+
+    def test_recomputes_from_inputs_as_json(self, synth_dir, pipeline_out, capsys):
+        capsys.readouterr()
         assert main(["report", "coverage", "--format", "json",
-                     "--labels", str(synth_dir / "labels.jsonl"),
-                     "--matches", str(out_dir / "matches.jsonl"),
-                     "--spikes", str(out_dir / "spikes.jsonl")]) == 0
-        out = capsys.readouterr().out
-        rows = json.loads(out[out.index("["):])
+                     *self.inputs(synth_dir, pipeline_out)]) == 0
+        rows = json.loads(capsys.readouterr().out)
         nets = {r["network_id"] for r in rows}
         assert {"net-eu-1", "net-eu-2", "net-na-1", "ALL"} <= nets
+
+    @pytest.mark.parametrize("left_out", [None, "--labels", "--matches", "--spikes"])
+    def test_a_missing_input_exits_2_naming_all_three(self, synth_dir, pipeline_out, capsys,
+                                                      left_out):
+        flags = self.inputs(synth_dir, pipeline_out)
+        if left_out is None:
+            flags = []
+        else:
+            at = flags.index(left_out)
+            del flags[at:at + 2]
+        capsys.readouterr()
+        assert main(["report", "coverage", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "coverage needs --labels, --matches and --spikes\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -9,15 +10,18 @@ import pytest
 from eventcast.baseline import ZSeries
 from eventcast.correlate import (
     EVENT_FEATURE_COLUMNS,
+    SpikeEventMatch,
     _fmt,
     _peak_z_in_window,
     coverage,
     export_features,
     feature_header,
+    label_spikes,
     lead_time_cdf,
+    load_labels,
     match_spikes_to_events,
 )
-from eventcast.model import SemanticSignature, SpikeRecord, utc_to_iso
+from eventcast.model import SemanticSignature, SpikeRecord, utc_from_iso, utc_to_iso
 from eventcast.reports import render_table
 
 from .conftest import MONDAY, make_event
@@ -125,12 +129,16 @@ class TestMatching:
         assert got == naive_matches(spikes, events, 6)
 
 
+def keys_of(matches):
+    return {m.spike.key() for m in matches}
+
+
 class TestCoverage:
     def test_ratio(self):
         spikes = [spike("net", MONDAY + timedelta(hours=i * 12), 60) for i in range(10)]
         events = [event_at(f"evt-{i}", spikes[i].start) for i in range(8)]
         matches = match_spikes_to_events(spikes, events, window_hours=1)
-        report = coverage([(s, True) for s in spikes], matches)
+        report = coverage([(s, True) for s in spikes], keys_of(matches))
         assert report.per_network["net"] == (8, 10, pytest.approx(0.8))
         assert report.overall == pytest.approx(0.8)
 
@@ -138,13 +146,13 @@ class TestCoverage:
         spikes = [spike("net", MONDAY + timedelta(hours=i * 12), 60) for i in range(4)]
         events = [event_at(f"evt-{i}", s.start) for i, s in enumerate(spikes)]
         matches = match_spikes_to_events(spikes, events, window_hours=1)
-        report = coverage([(s, True) for s in spikes], matches)
+        report = coverage([(s, True) for s in spikes], keys_of(matches))
         assert report.overall == 1.0
 
     def test_network_without_event_driven_spikes_omitted(self):
         s1 = spike("net-a", MONDAY, 60)
         s2 = spike("net-b", MONDAY, 60)
-        report = coverage([(s1, True), (s2, False)], [])
+        report = coverage([(s1, True), (s2, False)], set())
         assert "net-b" not in report.per_network
         assert report.omitted_networks == ("net-b",)
 
@@ -152,10 +160,153 @@ class TestCoverage:
         spikes = [spike("net", MONDAY + timedelta(hours=i * 12), 60) for i in range(6)]
         labeled = [(s, True) for s in spikes]
         events = [event_at(f"evt-{i}", spikes[i].start) for i in range(3)]
-        base = coverage(labeled, match_spikes_to_events(spikes, events, 1)).overall
+        base = coverage(labeled, keys_of(match_spikes_to_events(spikes, events, 1))).overall
         events.append(event_at("evt-extra", spikes[4].start))
-        grown = coverage(labeled, match_spikes_to_events(spikes, events, 1)).overall
+        grown = coverage(labeled, keys_of(match_spikes_to_events(spikes, events, 1))).overall
         assert grown >= base
+
+
+# -- oracle: the per-(spike, label) scan that parsed each label's bounds per pair --
+
+def oracle_overlap_fraction(spike: SpikeRecord, start, end) -> float:
+    lo = max(spike.start, start)
+    hi = min(spike.end, end)
+    length = (hi - lo).total_seconds()
+    planted = (end - start).total_seconds()
+    return max(0.0, length) / planted if planted > 0 else 0.0
+
+
+def oracle_label_spikes(spikes, labels, matched_keys):
+    labeled = []
+    for spike in spikes:
+        event_driven = any(
+            label["network_id"] == spike.network_id
+            and oracle_overlap_fraction(spike, utc_from_iso(label["start"]),
+                                        utc_from_iso(label["end"])) > 0
+            for label in labels
+        )
+        labeled.append((spike, event_driven))
+
+    non_spont_total = non_spont_covered = 0
+    spont_total = spont_matched = 0
+    detected_planted = 0
+    for label in labels:
+        start, end = utc_from_iso(label["start"]), utc_from_iso(label["end"])
+        overlapping = [
+            s for s in spikes
+            if s.network_id == label["network_id"] and oracle_overlap_fraction(s, start, end) > 0
+        ]
+        if overlapping:
+            detected_planted += 1
+        matched = any(s.key() in matched_keys for s in overlapping)
+        if label.get("spontaneous"):
+            spont_total += 1
+            spont_matched += int(matched)
+        elif not label.get("sub_threshold"):
+            non_spont_total += 1
+            non_spont_covered += int(matched)
+    planted = {
+        "planted_total": len(labels),
+        "planted_detected": detected_planted,
+        "non_spontaneous_total": non_spont_total,
+        "non_spontaneous_covered": non_spont_covered,
+        "non_spontaneous_coverage": (
+            non_spont_covered / non_spont_total if non_spont_total else None
+        ),
+        "spontaneous_total": spont_total,
+        "spontaneous_matched": spont_matched,
+    }
+    return labeled, planted
+
+
+T0 = datetime(2024, 3, 4, tzinfo=UTC)
+
+
+def _spike(network_id, start_min, minutes):
+    return spike(network_id, T0 + timedelta(minutes=start_min), minutes)
+
+
+def _label(network_id, start_min, minutes, **flags):
+    start = T0 + timedelta(minutes=start_min)
+    return {"network_id": network_id, "start": utc_to_iso(start),
+            "end": utc_to_iso(start + timedelta(minutes=minutes)), **flags}
+
+
+class TestLabelSpikes:
+    def assert_same_as_oracle(self, spikes, labels, matched_keys):
+        labeled, planted = label_spikes(spikes, labels, matched_keys)
+        expected_labeled, expected_planted = oracle_label_spikes(spikes, labels, matched_keys)
+        assert [(s.key(), flag) for s, flag in labeled] == \
+            [(s.key(), flag) for s, flag in expected_labeled]
+        assert all(a is b for (a, _), (b, _) in zip(labeled, expected_labeled))
+        assert planted == expected_planted
+        return labeled, planted
+
+    def test_edges_across_networks(self):
+        spikes = [_spike("a", 60, 30), _spike("b", 60, 30), _spike("b", 200, 10),
+                  _spike("c", 0, 5), _spike("a", 300, 60)]
+        labels = [
+            _label("a", 90, 20),                      # starts exactly at a's first spike end
+            _label("b", 30, 30),                      # ends exactly at b's first spike start
+            _label("a", 70, 0),                       # zero length, inside a spike
+            _label("a", 80, -15),                     # ends before it starts
+            _label("b", 205, 60, spontaneous=True),   # overlaps b's matched second spike
+            _label("a", 320, 5, sub_threshold=True),  # inside a's second spike
+            _label("c", 1, 1),
+            _label("d", 0, 600),                      # a network without spikes
+            # at +01:00, over the last minute of a's second spike
+            {"network_id": "a", "start": "2024-03-04T06:59:00+01:00",
+             "end": "2024-03-04T07:01:00+01:00"},
+        ]
+        matched_keys = {spikes[2].key(), spikes[3].key()}
+        labeled, planted = self.assert_same_as_oracle(spikes, labels, matched_keys)
+        assert [flag for _, flag in labeled] == [False, False, True, True, True]
+        assert planted == {
+            "planted_total": 9, "planted_detected": 4, "non_spontaneous_total": 7,
+            "non_spontaneous_covered": 1, "non_spontaneous_coverage": 1 / 7,
+            "spontaneous_total": 1, "spontaneous_matched": 1,
+        }
+
+    def test_no_labels_or_no_spikes(self):
+        spikes = [_spike("a", 0, 10)]
+        self.assert_same_as_oracle(spikes, [], set())
+        self.assert_same_as_oracle([], [_label("a", 0, 10), _label("a", 5, 0)], set())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_grid_matches_oracle(self, seed):
+        # a coarse 5-minute grid makes touching and zero-length intervals common
+        rng = random.Random(seed)
+        networks = ["n0", "n1", "n2", "n3"]
+        spikes = [_spike(rng.choice(networks), 5 * rng.randrange(60), 5 * rng.randint(1, 6))
+                  for _ in range(rng.randrange(25))]
+        flags = [{}, {"spontaneous": True}, {"sub_threshold": True}]
+        labels = [_label(rng.choice(networks), 5 * rng.randrange(60), 5 * rng.randrange(5),
+                         **rng.choice(flags))
+                  for _ in range(rng.randrange(15))]
+        matched_keys = {s.key() for s in spikes if rng.random() < 0.4}
+        self.assert_same_as_oracle(spikes, labels, matched_keys)
+
+    def test_default_run_matches_oracle(self, default_run):
+        _, config, report = default_run
+        out = Path(config.out_dir)
+        spikes = [SpikeRecord.from_dict(json.loads(line))
+                  for line in (out / "spikes.jsonl").read_text().splitlines()]
+        matched_keys = {SpikeEventMatch.from_dict(json.loads(line)).spike.key()
+                        for line in (out / "matches.jsonl").read_text().splitlines()}
+        labels = load_labels(config.labels_path)
+        assert labels and matched_keys
+        _, planted = self.assert_same_as_oracle(spikes, labels, matched_keys)
+        assert planted == report["stages"]["report"]["planted"]
+
+    def test_first_malformed_label_in_file_order_fails(self):
+        spikes = [_spike("a", 0, 10)]
+        good = _label("a", 0, 10)
+        with pytest.raises(KeyError):
+            label_spikes(spikes, [good, {"network_id": "b", "end": good["end"]},
+                                  {**good, "start": "not a time"}], set())
+        with pytest.raises(ValueError, match="not a time"):
+            label_spikes(spikes, [good, {**good, "start": "not a time"},
+                                  {"network_id": "b", "end": good["end"]}], set())
 
 
 class TestLeadTimeCdf:
@@ -318,11 +469,9 @@ class TestExportFeatures:
 
 # -- export_features against the per-(event, network) loop it replaced ---------------
 
-def oracle_export_features(events, z_by_network, network_regions, levels, window_days=3,
-                           networks=None):
+def oracle_export_features(events, z_by_network, network_regions, levels, window_days=3):
     """The earlier export, which built and formatted every cell of every (event, network) row."""
-    if networks is None:
-        networks = sorted(set(z_by_network) | set(network_regions))
+    networks = sorted(set(z_by_network) | set(network_regions))
     half = timedelta(days=window_days) / 2
     rows = []
     for event in sorted(events, key=lambda e: (e.date, e.event_id)):
@@ -389,9 +538,8 @@ def oracle_export_events():
     return events
 
 
-@pytest.mark.parametrize("networks", [None, ["net-unknown", "net-z-only", "net-eu-1"]])
 @pytest.mark.parametrize("levels", [(10, 100), (10,)])
-def test_export_matches_per_pair_oracle(levels, networks):
+def test_export_matches_per_pair_oracle(levels):
     rng = random.Random(5)
     start = datetime(2025, 6, 30, 0, 2, tzinfo=UTC)
     z = {
@@ -406,12 +554,11 @@ def test_export_matches_per_pair_oracle(levels, networks):
                "net-no-country": {"continent": "EU"}}
     events = oracle_export_events()
     for window_days in (1, 3):
-        got = export_features(events, z, regions, levels=levels, window_days=window_days,
-                              networks=networks)
-        want = oracle_export_features(events, z, regions, levels, window_days=window_days,
-                                      networks=networks)
+        got = export_features(events, z, regions, levels=levels, window_days=window_days)
+        want = oracle_export_features(events, z, regions, levels, window_days=window_days)
         assert got == want
     header, rows = got
-    assert len(rows) == (len(events) - 1) * len(networks or ["net-eu-1", "net-z-only", "net-us",
-                                                           "net-no-country"])
+    # one row per timed event and per network with a Z series or a region
+    assert len(rows) == (len(events) - 1) * 4
+    assert sorted({r[0] for r in rows}) == ["net-eu-1", "net-no-country", "net-us", "net-z-only"]
     assert {r[3] for r in rows} == {e.event_id for e in events} - {"evt-untimed"}

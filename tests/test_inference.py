@@ -406,7 +406,11 @@ class TestEnrichEvent:
         assert enriched.low_confidence_fields == ()
 
     def test_failed_consensus_marks_field_low_confidence(self):
-        event = make_event()
+        # every inferred field but category is already set, so only category is inferred
+        event = make_event(entities=("team x",), platforms=("streamarena",),
+                           data_per_user_mb=1500.0, audience_size=2_000_000,
+                           continent_relevance={"EU": 0.9}, nation_relevance={"DE": 0.8},
+                           spike_duration_hours=2.0, likelihood=9)
         records = [make_record()]
         spec = FIELDS_BY_NAME["category"]
         fixtures = {}
@@ -415,8 +419,8 @@ class TestEnrichEvent:
             for r, answer in enumerate(("A", "B", "C")):
                 fixtures[prompt_key(prompt, f"a{attempt}r{r}")] = answer + str(attempt)
         llm = StubLlmBackend(fixtures)
-        enriched, runs = enrich_event(event, llm, retriever=None, records=records,
-                                      field_specs=[spec])
+        enriched, runs = enrich_event(event, llm, retriever=None, records=records)
+        assert [run.field_name for run in runs] == ["category"]
         assert runs[0].failed
         assert enriched.category is None
         assert enriched.low_confidence_fields == ("category",)

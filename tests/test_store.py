@@ -23,6 +23,7 @@ from eventcast.inference.backends import prompt_key
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.model import ContentRecord, InvariantError, SpikeRecord
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
+import eventcast.store as store_mod
 from eventcast.store import EventStore, JsonlStore, fresh_stores
 from eventcast.synth import default_scenario
 
@@ -70,6 +71,26 @@ def test_sequential_ids_stable_across_restart(tmp_path):
     assert first == "spk-000001"
     assert second == "spk-000002"
     assert len(again.load()) == 2
+
+
+def test_a_read_opens_the_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "spikes.jsonl"
+    spike = SpikeRecord("net", MONDAY, MONDAY.replace(hour=1), peak_z=4.0,
+                        mean_z=3.0, duration_minutes=60.0)
+    with JsonlStore(path, SpikeRecord, id_prefix="spk") as store:
+        store.append(spike)
+        store.append(spike)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+    assert len(JsonlStore(path, SpikeRecord).load()) == 2
+    assert opened == [path]
+    assert sum(1 for _ in JsonlStore(path, SpikeRecord)) == 2
+    assert opened == [path, path]
 
 
 def test_round_trip_through_file(tmp_path):
