@@ -19,11 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import eventcast.store as store_mod
 from eventcast.inference.backends import prompt_key
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.model import ContentRecord, InvariantError, SpikeRecord
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
-import eventcast.store as store_mod
 from eventcast.store import EventStore, JsonlStore, fresh_stores
 from eventcast.synth import default_scenario
 
