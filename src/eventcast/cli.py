@@ -179,7 +179,11 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = stage_config(args)
+    try:
+        config = stage_config(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)  # --bins not strictly increasing
+        return 2
     if args.kind == "spike-frequency":
         spikes = JsonlStore(args.spikes, SpikeRecord).load()
         header, rows = spike_frequency_table(spike_frequency(spikes, config.report_bins))

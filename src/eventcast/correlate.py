@@ -3,7 +3,6 @@ and feature export."""
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from .baseline import ZSeries
 from .inference.fields import INFERABLE_SPECS
 from .model import (EventAbstraction, SpikeRecord, from_json_dict, record_dict, utc_from_iso,
                     utc_to_iso)
+from .store import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -86,13 +86,7 @@ def match_spikes_to_events(
 
 def load_labels(path) -> List[dict]:
     """The ground-truth labels of a labels.jsonl file, one dict per line."""
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                labels.append(json.loads(line))
-    return labels
+    return list(read_jsonl(path))
 
 
 def _overlaps(spike: SpikeRecord, start, end) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
-from . import remote
+from . import correlate, ingest, remote, semantics
 from . import reports as report_tables
 from .baseline import (
     UnpopulatedBinsError,
@@ -95,7 +95,7 @@ class PipelineConfig:
     connector: str = "file"  # file | http
     connector_http: dict = field(default_factory=dict)
     filter: FilterConfig = field(default_factory=lambda: FilterConfig(search_terms=("event",)))
-    top_k_comments: int = 20
+    top_k_comments: int = ingest.DEFAULT_TOP_K_COMMENTS
     max_linked_pages: int = 0
     page_fetcher: dict = field(default_factory=lambda: {"kind": "none"})
     llm: dict = field(default_factory=lambda: {"kind": "stub", "fixtures_path": None})
@@ -110,13 +110,17 @@ class PipelineConfig:
     z_threshold: float = 2.0
     min_duration_minutes: float = 20.0
     merge_gap_minutes: float = 5.0
-    dedup_threshold: float = 0.90
-    levels: tuple = (10, 100, 1_000, 10_000)
-    match_window_hours: float = 6.0
-    feature_window_days: int = 3
-    min_category_count: int = 1_000
+    dedup_threshold: float = semantics.DEFAULT_SIM_THRESHOLD
+    levels: tuple = semantics.DEFAULT_LEVELS
+    match_window_hours: float = correlate.DEFAULT_MATCH_WINDOW_HOURS
+    feature_window_days: int = correlate.DEFAULT_FEATURE_WINDOW_DAYS
+    min_category_count: int = correlate.DEFAULT_MIN_CATEGORY_COUNT
     report_bins: tuple = (2.0, 3.0, 5.0)
     network_regions: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the report stage's check of its bins, made before any stage runs
+        spike_frequency((), self.report_bins)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -340,7 +344,8 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
     the re-inferred survivor; ``on_merge(merged, group_ids)`` is called as
     each merge is stored. The groups are disjoint, so every survivor is
     re-inferred at once, on one request pool, and stored in group order:
-    the stores read as after one merge at a time, also up to a failure.
+    the stores read as after one merge at a time, also up to a failure, and
+    no merge is submitted after an enrichment seen to have failed.
     Returns the surviving events in first-insertion order, the
     ``EventEmbeddings`` still valid for them (a merged survivor's summary
     text changes, so every merged group's rows are dropped) and the stage
@@ -355,11 +360,16 @@ def stage_dedup(config: PipelineConfig, events: List[EventAbstraction], embedder
     records_by_id = {r.record_id: r for r in records}
     with thread_pool("request", llm, retriever) as request_workers, \
             thread_pool("event", llm, retriever) as event_workers:
-        enrichments = [] if llm is None else [event_workers.submit(
-            enrich_event, merged, llm, retriever,
-            records=[records_by_id[rid] for rid in merged.source_records if rid in records_by_id],
-            ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
-            max_docs=config.max_context_docs, pool=request_workers) for merged in merges]
+        enrichments = []
+        for merged in merges if llm is not None else ():
+            enrichments.append(event_workers.submit(
+                enrich_event, merged, llm, retriever,
+                records=[records_by_id[rid] for rid in merged.source_records
+                         if rid in records_by_id],
+                ensemble_size=config.ensemble_size, max_attempts=config.max_attempts,
+                max_docs=config.max_context_docs, pool=request_workers))
+            if enrichments[-1].done() and enrichments[-1].exception() is not None:
+                break  # inline, a failed enrichment is done at submit: add nothing after it
         for index, (group_ids, merged) in enumerate(zip(groups, merges)):
             # the absorbed ids close the survivor's merge history, in merge order
             events_store.apply_merge(merged, merged.merge_history[1 - len(group_ids):])

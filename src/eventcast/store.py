@@ -47,8 +47,17 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+def read_jsonl(path) -> Iterator[dict]:
+    """Each non-blank line of a JSONL file, parsed; opening a missing file raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield json.loads(line)
+
+
 class _AppendLog:
-    """The append handle of one store file, and its write, sync and close."""
+    """The append handle of one store file: its write, sync, close and entries."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -84,6 +93,11 @@ class _AppendLog:
             raise StoreIOError(f"fsync of {self.path} failed: {exc}") from exc
         self._unsynced = False
         self.counts["fsyncs"] += 1
+
+    def raw_entries(self) -> Iterator[dict]:
+        """Each line of the file, parsed; none when there is no file."""
+        if self.path.exists():
+            yield from read_jsonl(self.path)
 
     def close(self) -> None:
         """Sync, then close the handle; a later append opens the file again."""
@@ -138,13 +152,7 @@ class JsonlStore(_AppendLog):
         return stored_id
 
     def __iter__(self) -> Iterator:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield self.record_type.from_dict(json.loads(line))
+        return map(self.record_type.from_dict, self.raw_entries())
 
     def load(self) -> list:
         return [record for record in self]  # list(self) would call len(), which counts lines
@@ -186,15 +194,6 @@ class EventStore(_AppendLog):
         ]
         lines.append(_dump(survivor.to_dict()))
         self._write(lines)  # one write: a crash never keeps a tombstone alone
-
-    def raw_entries(self) -> Iterator[dict]:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
 
     def load_live(self) -> list:
         """Fold the log: last version per event_id wins, tombstones drop."""

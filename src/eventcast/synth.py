@@ -14,20 +14,18 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import RawPost, assemble_content_record
 from .inference.backends import prompt_key
-from .inference.enrich import EMPTY_BUNDLE, FixtureRetriever, enrich_with_context
-from .inference.extract import build_event
-from .inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
-from .inference.prompts import build_extract_prompt, build_field_prompt
-from .model import EventDraft, TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
+from .inference.enrich import FixtureRetriever, enrich_event
+from .inference.extract import build_event, extract_events
+from .inference.fields import INFERABLE_SPECS
+from .model import TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
 from .pipeline import PipelineConfig
-from .semantics import EventEmbeddings, HashingStubEmbedder, embed_event, find_duplicates, merge_events
+from .semantics import HashingStubEmbedder, embed_events, find_duplicates, merge_events
 
 # the run settings the synthetic inputs are made for: planted bumps are
 # sized in units of the default std floor, and a run that keeps the other
@@ -295,38 +293,51 @@ def _field_completions(ev: PlantedEvent, spec) -> List[str]:
     raise ValueError(f"no synthetic completion rule for field {spec.field_name}")
 
 
-def _simulate_enrichment(event, planted: PlantedEvent, records, retriever,
-                         fixtures: Dict[str, str]):
-    """Walk the field chain exactly as the pipeline will, recording the
-    fixture completion for every (prompt, salt) the stub will see. As in
-    ``enrich_event``, each run of consecutive RAG-backed fields shares one
-    retrieval; ``enrich_with_context`` makes a future per query even inline,
-    and one retrieval per field would make them seven times."""
-    for uses_rag, specs in groupby(INFERABLE_SPECS, key=lambda spec: spec.uses_rag):
-        context = enrich_with_context(event, retriever, max_docs=RUN_DEFAULTS.max_context_docs) \
-            if uses_rag else EMPTY_BUNDLE
-        for spec in specs:
-            prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
-                                        context_docs=context.retrieved_docs)
-            completions = _field_completions(planted, spec)
-            values = []
-            for run_index, completion in enumerate(completions):
-                fixtures[prompt_key(prompt, f"a1r{run_index}")] = completion
-                values.append(parse_value(spec.data_type, completion))
-            consensus = aggregate_runs(spec, values)
-            event = apply_consensus(event, spec, consensus)
+class _RecordingLlm:
+    """Answers each ``send`` with the next of ``answers`` and stores it as the
+    stub fixture of that prompt and salt; a salt outside ``salts`` (a
+    re-prompt or re-sample), or a send after the last answer, raises."""
+
+    def __init__(self, fixtures: Dict[str, str], answers: Sequence[str], salts: Sequence[str]):
+        self.fixtures, self.answers, self.salts = fixtures, iter(answers), salts
+
+    def send(self, prompt: str, salt: str = "") -> str:
+        if salt not in self.salts:
+            raise RuntimeError(f"synthetic fixtures hold no answer for salt {salt!r}")
+        answer = next(self.answers, None)
+        if answer is None:
+            raise RuntimeError(f"synthetic fixtures ran out of answers at salt {salt!r}")
+        self.fixtures[prompt_key(prompt, salt)] = answer
+        return answer
+
+
+def _record_enrichment(event, planted: PlantedEvent, records_by_id, retriever,
+                       fixtures: Dict[str, str]):
+    """Enrich ``event`` over its source records as the pipeline will, recording
+    the planted answers. Inline, ``enrich_event`` fills the fields in
+    ``INFERABLE_SPECS`` order, each field's ensemble members in turn."""
+    answers = [c for spec in INFERABLE_SPECS for c in _field_completions(planted, spec)]
+    salts = [f"a1r{i}" for i in range(RUN_DEFAULTS.ensemble_size)]
+    event, runs = enrich_event(
+        event, _RecordingLlm(fixtures, answers, salts), retriever,
+        [records_by_id[rid] for rid in event.source_records],
+        ensemble_size=RUN_DEFAULTS.ensemble_size, max_attempts=RUN_DEFAULTS.max_attempts,
+        max_docs=RUN_DEFAULTS.max_context_docs)
+    if any(run.attempts != 1 or run.failed for run in runs):
+        raise RuntimeError(f"planted fields of {planted.name} missed first-attempt consensus")
     return event
 
 
 def synth_corpus(scenario: Scenario) -> Tuple[List[RawPost], Dict[str, str], Dict[str, list]]:
     """Generate the discussion corpus plus complete stub fixture maps.
 
-    Returns (posts, llm_fixtures, retriever_fixtures). Fixtures cover the
-    extraction prompt per record, every pre-merge field prompt, and the
+    Returns (posts, llm_fixtures, retriever_fixtures). The LLM fixtures are
+    recorded by running extraction, enrichment and dedup inline: they cover
+    the extraction prompt per record, every pre-merge field prompt, and the
     re-inference prompts for events that will merge during dedup, so a
-    stub-backed run with ``PipelineConfig``'s default comments, context
-    docs, time zone, embedder and dedup threshold never misses a key.
-    Spontaneous events get traffic bumps only: no posts.
+    stub-backed run with ``PipelineConfig``'s default comments, ensemble
+    size, context docs, time zone, embedder and dedup threshold never misses
+    a key. Spontaneous events get traffic bumps only: no posts.
     """
     rng = random.Random(scenario.seed)
     tagged_posts = _event_posts(scenario, rng)
@@ -344,56 +355,37 @@ def synth_corpus(scenario: Scenario) -> Tuple[List[RawPost], Dict[str, str], Dic
     retriever = FixtureRetriever(retriever_fixtures)
 
     llm_fixtures: Dict[str, str] = {}
-    events = []
-    by_event_records: Dict[str, list] = {}
-    planted_by_id: Dict[str, PlantedEvent] = {}
-    for post, ev in tagged_posts:
+    events, records_by_id, planted_by_id = [], {}, {}
+
+    def extract(post: RawPost, answer: str):
         record = assemble_content_record(post, top_k_comments=RUN_DEFAULTS.top_k_comments)
-        draft_payload = [{
+        records_by_id[record.record_id] = record
+        return record, extract_events(record, _RecordingLlm(llm_fixtures, [answer], ["extract"]))
+
+    for post, ev in tagged_posts:
+        record, (draft,) = extract(post, json.dumps([{
             "headline": ev.headline,
             "date": ev.event_time.date().isoformat(),
             "time": ev.event_time.strftime("%H:%M"),
-        }]
-        llm_fixtures[prompt_key(build_extract_prompt(record), "extract")] = json.dumps(draft_payload)
-        draft = EventDraft(
-            headline=ev.headline, date=draft_payload[0]["date"],
-            time=draft_payload[0]["time"], source_record=record.record_id,
-        )
+        }]))
         event = build_event(draft, record, default_timezone=RUN_DEFAULTS.default_timezone)
         events.append(event)
-        by_event_records[event.event_id] = [record]
         planted_by_id[event.event_id] = ev
 
     # the no-event distractor still gets an extraction fixture
-    recipe = next(p for p in posts if p.post_id == "distractor-recipe")
-    recipe_record = assemble_content_record(recipe,
-                                            top_k_comments=RUN_DEFAULTS.top_k_comments)
-    llm_fixtures[prompt_key(build_extract_prompt(recipe_record), "extract")] = "[]"
+    extract(next(p for p in posts if p.post_id == "distractor-recipe"), "[]")
 
-    # pre-merge enrichment fixtures (walked with the real code path)
-    enriched = []
-    for event in events:
-        planted = planted_by_id[event.event_id]
-        enriched.append(
-            _simulate_enrichment(event, planted, by_event_records[event.event_id],
-                                 retriever, llm_fixtures)
-        )
+    enriched = [_record_enrichment(event, planted_by_id[event.event_id], records_by_id,
+                                   retriever, llm_fixtures) for event in events]
 
     # events that will merge re-infer everything over the expanded records
     embedder = HashingStubEmbedder(dim=RUN_DEFAULTS.embedder["dim"])
-    embeddings = EventEmbeddings.stack({e.event_id: embed_event(e, embedder) for e in enriched})
     by_id = {e.event_id: e for e in enriched}
-    for group_ids in find_duplicates(enriched, embeddings,
+    for group_ids in find_duplicates(enriched, embed_events(enriched, embedder),
                                      sim_threshold=RUN_DEFAULTS.dedup_threshold):
         merged = merge_events([by_id[eid] for eid in group_ids])
-        planted = planted_by_id[merged.event_id]
-        records_by_id = {
-            record.record_id: record
-            for eid in group_ids
-            for record in by_event_records[eid]
-        }
-        ordered = [records_by_id[rid] for rid in merged.source_records]
-        _simulate_enrichment(merged, planted, ordered, retriever, llm_fixtures)
+        _record_enrichment(merged, planted_by_id[merged.event_id], records_by_id, retriever,
+                           llm_fixtures)
 
     return posts, llm_fixtures, retriever_fixtures
 

@@ -292,3 +292,11 @@ class TestReportCoverage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "coverage needs --labels, --matches and --spikes\n"
+
+
+def test_report_bins_out_of_order_exit_2(pipeline_out, capsys):
+    capsys.readouterr()
+    assert main(["report", "spike-frequency", "--spikes", str(pipeline_out / "spikes.jsonl"),
+                 "--bins", "3,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "z_bins must be strictly increasing\n"

@@ -77,6 +77,30 @@ def _lines(path: Path) -> list:
     return path.read_text(encoding="utf-8").splitlines()
 
 
+def _stored(out_dir: Path) -> list:
+    return [_lines(out_dir / name) for name in ("events.jsonl", "runs.jsonl")]
+
+
+class Recorder:
+    """Passes each ``send`` on to ``llm`` and records its fixture key in ``keys``."""
+
+    def __init__(self, llm, keys=None):
+        self.llm, self.keys = llm, [] if keys is None else keys
+
+    def send(self, prompt, salt=""):
+        self.keys.append(prompt_key(prompt, salt))
+        return self.llm.send(prompt, salt)
+
+
+def _stub_inputs(config, tmp_path):
+    """The config's fixture retriever, its LLM fixture map and its ingested records."""
+    with open(config.llm["fixtures_path"], "r", encoding="utf-8") as fh:
+        fixtures = json.load(fh)
+    with fresh_stores(tmp_path / "ingest") as stores:
+        records, _ = stage_ingest(config, build_connector(config), stores["records"])
+    return FixtureRetriever.from_file(config.retriever["fixtures_path"]), fixtures, records
+
+
 class TestSequentialOracle:
     def _compare(self, config, tmp_path, monkeypatch) -> dict:
         """Run ``config`` inline and threaded; returns the inline report."""
@@ -105,14 +129,6 @@ class TestSequentialOracle:
         # record the fixtures each merge survivor's re-inference reads, in group order
         reads = {}
         enrich_event = pipeline.enrich_event
-
-        class Recorder:
-            def __init__(self, llm, keys):
-                self.llm, self.keys = llm, keys
-
-            def send(self, prompt, salt=""):
-                self.keys.append(prompt_key(prompt, salt))
-                return self.llm.send(prompt, salt)
 
         def recording(event, llm, *args, **kwargs):
             if event.merge_history:
@@ -165,28 +181,12 @@ class TestSequentialOracle:
 class TestInferStopsAtAFailedEnrichment:
     def test_inline_stops_there_and_stores_what_the_threaded_run_does(self, scenario_config,
                                                                        tmp_path):
-        retriever = FixtureRetriever.from_file(scenario_config.retriever["fixtures_path"])
-        with open(scenario_config.llm["fixtures_path"], "r", encoding="utf-8") as fh:
-            fixtures = json.load(fh)
-        with fresh_stores(tmp_path / "ingest") as stores:
-            records, _ = stage_ingest(scenario_config, build_connector(scenario_config),
-                                      stores["records"])
-
-        class Recorder:
-            def __init__(self, llm):
-                self.llm, self.keys = llm, []
-
-            def send(self, prompt, salt=""):
-                self.keys.append(prompt_key(prompt, salt))
-                return self.llm.send(prompt, salt)
+        retriever, fixtures, records = _stub_inputs(scenario_config, tmp_path)
 
         def infer(out_dir, llm, retriever=retriever):
             with fresh_stores(out_dir) as stores:
                 stage_infer(scenario_config, records, llm, retriever, stores["events"],
                             stores["runs"])
-
-        def stored(out_dir):
-            return [_lines(out_dir / name) for name in ("events.jsonl", "runs.jsonl")]
 
         full = Recorder(StubLlmBackend(fixtures))
         infer(tmp_path / "full", full)
@@ -209,11 +209,49 @@ class TestInferStopsAtAFailedEnrichment:
             infer(tmp_path / "threaded", OnTheNetwork(StubLlmBackend(fixtures), threads),
                   OnTheNetwork(retriever, threads))
         assert threads and all(name.startswith("eventcast-request_") for name in threads)
-        events, runs = stored(tmp_path / "inline")
-        assert stored(tmp_path / "threaded") == [events, runs]
-        full_events, full_runs = stored(tmp_path / "full")
+        events, runs = _stored(tmp_path / "inline")
+        assert _stored(tmp_path / "threaded") == [events, runs]
+        full_events, full_runs = _stored(tmp_path / "full")
         assert 0 < len(events) < len(full_events) and full_events[:len(events)] == events
         assert full_runs[:len(runs)] == runs
+
+
+class TestDedupStopsAtAFailedEnrichment:
+    def test_inline_stops_there_and_stores_what_the_threaded_run_does(self, scenario_config,
+                                                                       tmp_path):
+        retriever, fixtures, records = _stub_inputs(scenario_config, tmp_path)
+
+        def dedup(out_dir, llm, retriever=retriever):
+            with fresh_stores(out_dir) as stores:
+                events, _ = stage_infer(scenario_config, records, StubLlmBackend(fixtures),
+                                        retriever, stores["events"], stores["runs"])
+                stage_dedup(scenario_config, events, build_embedder(scenario_config),
+                            stores["events"], stores["runs"], llm=llm, retriever=retriever,
+                            records=records)
+
+        full = Recorder(StubLlmBackend(fixtures))
+        dedup(tmp_path / "full", full)
+        del fixtures[full.keys[0]]
+
+        inline = Recorder(StubLlmBackend(fixtures))
+        with pytest.raises(StubFixtureMissing):
+            dedup(tmp_path / "inline", inline)
+        # the first merge's first field, and no call of the second merge
+        assert inline.keys == full.keys[:scenario_config.ensemble_size]
+
+        threads = set()
+        with pytest.raises(StubFixtureMissing):
+            dedup(tmp_path / "threaded", OnTheNetwork(StubLlmBackend(fixtures), threads),
+                  OnTheNetwork(retriever, threads))
+        assert threads and all(name.startswith("eventcast-request_") for name in threads)
+        events, runs = _stored(tmp_path / "inline")
+        assert _stored(tmp_path / "threaded") == [events, runs]
+        full_events, full_runs = _stored(tmp_path / "full")
+        assert len(events) < len(full_events) and full_events[:len(events)] == events
+        assert full_runs[:len(runs)] == runs
+        # the first merge is stored with its fields cleared, and nothing after it
+        last = json.loads(events[-1])
+        assert last["merge_history"] and last["category"] is None
 
 
 class SlowBackend:

@@ -350,11 +350,6 @@ A_SPIKE = SpikeRecord("net", MONDAY, MONDAY.replace(hour=1), peak_z=4.0, mean_z=
 
 @pytest.mark.parametrize("spikes", [[], [A_SPIKE]], ids=["no spikes", "a spike"])
 class TestSpikeFrequencyReport:
-    def test_bins_out_of_order_fail_the_stage(self, spikes, tmp_path):
-        config = PipelineConfig.from_dict({"report_bins": [3, 2]})
-        with pytest.raises(ConfigError, match="increasing"):
-            pipeline.stage_report(config, spikes, [], set(), {}, tmp_path)
-
     def test_integer_bins_report_as_floats(self, spikes, tmp_path):
         config = PipelineConfig.from_dict({"report_bins": [2, 3]})
         summary = pipeline.stage_report(config, spikes, [], set(), {}, tmp_path)
@@ -432,6 +427,16 @@ class TestConfigRoundTrip:
         path = tmp_path / "pipeline.json"
         config.save(path)
         assert PipelineConfig.load(path) == config
+
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: PipelineConfig(report_bins=(3.0, 2.0)), "increasing"),
+        (lambda: PipelineConfig.from_dict({"report_bins": [3, 2]}), "increasing"),
+        (lambda: PipelineConfig.from_dict({"report_bins": []}), "non-empty"),
+    ], ids=["out of order", "out of order, from a dict", "empty, from a dict"])
+    def test_report_bins_the_report_stage_rejects_fail_the_config(self, build, reason):
+        # before any stage runs, not after the whole inference at the report stage
+        with pytest.raises(ConfigError, match=reason):
+            build()
 
     def test_relative_fixture_paths_resolve_without_touching_the_callers_dicts(self, tmp_path):
         raw = {"llm": {"kind": "stub", "fixtures_path": "llm.json"},

@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import eventcast.store as store_mod
+from eventcast.correlate import load_labels
 from eventcast.inference.backends import prompt_key
 from eventcast.inference.prompts import build_extract_prompt
-from eventcast.model import ContentRecord, InvariantError, SpikeRecord
+from eventcast.model import ContentRecord, EventAbstraction, InvariantError, SpikeRecord
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
 from eventcast.store import EventStore, JsonlStore, fresh_stores
 from eventcast.synth import default_scenario
@@ -112,6 +113,23 @@ def test_merge_appends_tombstone_plus_replacement(tmp_path):
     assert live[0].merge_history == ("evt-b",)
     # the log keeps the full history: 2 originals + tombstone + replacement
     assert len(list(store.raw_entries())) == 4
+
+
+def test_readers_skip_blank_lines_and_a_missing_store_reads_empty(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with EventStore(path) as store:
+        store.append(make_event(event_id="evt-a"))
+    path.write_text("\n  \n" + path.read_text(encoding="utf-8") + "\t\n", encoding="utf-8")
+    entry = json.loads(path.read_text(encoding="utf-8").strip())
+    assert list(EventStore(path).raw_entries()) == [entry]
+    assert [e.event_id for e in JsonlStore(path, EventAbstraction)] == ["evt-a"]
+    assert load_labels(path) == [entry]
+
+    missing = tmp_path / "missing.jsonl"
+    assert list(EventStore(missing).raw_entries()) == []
+    assert list(JsonlStore(missing, SpikeRecord)) == []
+    with pytest.raises(FileNotFoundError):
+        load_labels(missing)
 
 
 def test_rejects_wrong_type(tmp_path):

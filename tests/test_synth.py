@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,16 @@ import pytest
 
 import eventcast.synth as synth
 from eventcast.baseline import detect_spikes, fit_baseline, zscore_series
-from eventcast.inference.backends import StubLlmBackend
-from eventcast.inference.extract import extract_events
+from eventcast.inference.backends import StubLlmBackend, prompt_key
+from eventcast.inference.enrich import EMPTY_BUNDLE, FixtureRetriever, enrich_with_context
+from eventcast.inference.extract import build_event, extract_events
+from eventcast.inference.fields import INFERABLE_SPECS, aggregate_runs, apply_consensus, parse_value
+from eventcast.inference.prompts import build_extract_prompt, build_field_prompt
 from eventcast.ingest import FilterConfig, assemble_content_record, list_posts
+from eventcast.model import EventDraft
+from eventcast.semantics import HashingStubEmbedder, embed_events, find_duplicates, merge_events
 from eventcast.synth import (
+    RUN_DEFAULTS,
     PlantedEvent,
     Scenario,
     SynthNetwork,
@@ -203,6 +212,99 @@ class TestSynthCorpus:
         scenario = one_event_scenario()
         _, _, retriever_fixtures = synth_corpus(scenario)
         assert set(retriever_fixtures) == {"Alpha", "Beta"}
+
+
+def _oracle_enrichment(event, planted, records, retriever, fixtures):
+    """Walk the field chain step by step, as ``enrich_event`` does inline,
+    recording the planted completion for every (prompt, salt) it sends: each
+    run of consecutive RAG-backed fields shares one retrieval."""
+    for uses_rag, specs in groupby(INFERABLE_SPECS, key=lambda spec: spec.uses_rag):
+        context = enrich_with_context(event, retriever, max_docs=RUN_DEFAULTS.max_context_docs) \
+            if uses_rag else EMPTY_BUNDLE
+        for spec in specs:
+            prompt = build_field_prompt(event, spec.prompt_template_id, records=records,
+                                        context_docs=context.retrieved_docs)
+            values = []
+            for run_index, completion in enumerate(synth._field_completions(planted, spec)):
+                fixtures[prompt_key(prompt, f"a1r{run_index}")] = completion
+                values.append(parse_value(spec.data_type, completion))
+            event = apply_consensus(event, spec, aggregate_runs(spec, values))
+    return event
+
+
+def oracle_fixtures(scenario) -> dict:
+    """The reference for ``synth_corpus``'s LLM fixtures: the extraction and
+    field prompts rebuilt by hand, without running extraction or enrichment."""
+    posts, _, retriever_fixtures = synth_corpus(scenario)
+    retriever = FixtureRetriever(retriever_fixtures)
+    fixtures, events, by_event_records, planted_by_id = {}, [], {}, {}
+    for post, ev in synth._event_posts(scenario, random.Random(scenario.seed)):
+        record = assemble_content_record(post, top_k_comments=RUN_DEFAULTS.top_k_comments)
+        payload = [{"headline": ev.headline, "date": ev.event_time.date().isoformat(),
+                    "time": ev.event_time.strftime("%H:%M")}]
+        fixtures[prompt_key(build_extract_prompt(record), "extract")] = json.dumps(payload)
+        draft = EventDraft(headline=ev.headline, date=payload[0]["date"],
+                           time=payload[0]["time"], source_record=record.record_id)
+        event = build_event(draft, record, default_timezone=RUN_DEFAULTS.default_timezone)
+        events.append(event)
+        by_event_records[event.event_id] = [record]
+        planted_by_id[event.event_id] = ev
+    recipe = next(p for p in posts if p.post_id == "distractor-recipe")
+    recipe_record = assemble_content_record(recipe, top_k_comments=RUN_DEFAULTS.top_k_comments)
+    fixtures[prompt_key(build_extract_prompt(recipe_record), "extract")] = "[]"
+
+    enriched = [_oracle_enrichment(event, planted_by_id[event.event_id],
+                                   by_event_records[event.event_id], retriever, fixtures)
+                for event in events]
+    embeddings = embed_events(enriched, HashingStubEmbedder(dim=RUN_DEFAULTS.embedder["dim"]))
+    by_id = {e.event_id: e for e in enriched}
+    for group_ids in find_duplicates(enriched, embeddings,
+                                     sim_threshold=RUN_DEFAULTS.dedup_threshold):
+        merged = merge_events([by_id[eid] for eid in group_ids])
+        records_by_id = {r.record_id: r for eid in group_ids for r in by_event_records[eid]}
+        _oracle_enrichment(merged, planted_by_id[merged.event_id],
+                           [records_by_id[rid] for rid in merged.source_records],
+                           retriever, fixtures)
+    return fixtures
+
+
+class TestRecordedFixtures:
+    @pytest.mark.parametrize("scenario", [default_scenario(seed=7), one_event_scenario(n_posts=2)],
+                             ids=["default seed 7", "one event posted twice"])
+    def test_synth_corpus_records_what_the_oracle_walk_builds(self, scenario):
+        fixtures = synth_corpus(scenario)[1]
+        assert fixtures == oracle_fixtures(scenario)
+        # extraction per record plus 9 fields x 3 runs per event and merge survivor
+        posts = sum(max(1, e.n_posts) for e in scenario.planted_events if not e.spontaneous)
+        merges = sum(1 for e in scenario.planted_events if e.n_posts > 1 and not e.spontaneous)
+        assert len(fixtures) == posts + 1 + 27 * (posts + merges)
+
+    def test_recorder_raises_when_it_runs_out_of_answers(self):
+        fixtures = {}
+        llm = synth._RecordingLlm(fixtures, ["only"], ("extract",))
+        assert llm.send("prompt", "extract") == "only"
+        with pytest.raises(RuntimeError, match="ran out of answers at salt 'extract'"):
+            llm.send("prompt two", "extract")
+        assert fixtures == {prompt_key("prompt", "extract"): "only"}
+
+    def test_recorder_raises_on_a_salt_it_did_not_expect(self):
+        llm = synth._RecordingLlm({}, ["[]"], ("extract",))
+        with pytest.raises(RuntimeError, match="no answer for salt 'extract-retry'"):
+            llm.send("prompt", "extract-retry")
+
+    def test_a_planted_answer_without_consensus_fails_loudly(self, monkeypatch):
+        field_completions = synth._field_completions
+
+        def unparseable_likelihood(ev, spec):
+            if spec.field_name == "likelihood":
+                return ["soon", "maybe", "never"]
+            return field_completions(ev, spec)
+
+        # three abstentions fail the first attempt, so enrich_event samples
+        # again under salt a2r0, which the planted answers do not cover
+        monkeypatch.setattr(synth, "_field_completions", unparseable_likelihood)
+        with pytest.raises(RuntimeError, match="no answer for salt 'a2r0'"):
+            synth_corpus(one_event_scenario())
 
 
 class TestDefaultScenario:
