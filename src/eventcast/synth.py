@@ -315,16 +315,16 @@ def _record_enrichment(event, planted: PlantedEvent, records_by_id, retriever,
                        fixtures: Dict[str, str]):
     """Enrich ``event`` over its source records as the pipeline will, recording
     the planted answers. Inline, ``enrich_event`` fills the fields in
-    ``INFERABLE_SPECS`` order, each field's ensemble members in turn."""
+    ``INFERABLE_SPECS`` order, each field's ensemble members in turn. The
+    recorder answers only first-attempt salts, so a planted answer that
+    misses consensus raises at the second attempt's first request."""
     answers = [c for spec in INFERABLE_SPECS for c in _field_completions(planted, spec)]
     salts = [f"a1r{i}" for i in range(RUN_DEFAULTS.ensemble_size)]
-    event, runs = enrich_event(
+    event, _ = enrich_event(
         event, _RecordingLlm(fixtures, answers, salts), retriever,
         [records_by_id[rid] for rid in event.source_records],
         ensemble_size=RUN_DEFAULTS.ensemble_size, max_attempts=RUN_DEFAULTS.max_attempts,
         max_docs=RUN_DEFAULTS.max_context_docs)
-    if any(run.attempts != 1 or run.failed for run in runs):
-        raise RuntimeError(f"planted fields of {planted.name} missed first-attempt consensus")
     return event
 
 

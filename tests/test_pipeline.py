@@ -350,6 +350,13 @@ A_SPIKE = SpikeRecord("net", MONDAY, MONDAY.replace(hour=1), peak_z=4.0, mean_z=
 
 @pytest.mark.parametrize("spikes", [[], [A_SPIKE]], ids=["no spikes", "a spike"])
 class TestSpikeFrequencyReport:
+    def test_bins_out_of_order_fail_the_stage(self, spikes, tmp_path):
+        # a config checks its bins when built, but a field set afterwards is not re-checked
+        config = PipelineConfig()
+        config.report_bins = (3, 2)
+        with pytest.raises(ConfigError, match="increasing"):
+            pipeline.stage_report(config, spikes, [], set(), {}, tmp_path)
+
     def test_integer_bins_report_as_floats(self, spikes, tmp_path):
         config = PipelineConfig.from_dict({"report_bins": [2, 3]})
         summary = pipeline.stage_report(config, spikes, [], set(), {}, tmp_path)
