@@ -28,6 +28,13 @@ MINUTES_PER_DAY = 1440
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # a Thursday: weekday 3
 STD_EPS = 1e-6  # absolute floor; guards flat history
 
+DEFAULT_WINDOW_WEEKS = 4
+DEFAULT_BIN_MINUTES = 5
+DEFAULT_STD_FLOOR_FRACTION = 0.05
+DEFAULT_Z_THRESHOLD = 2.0
+DEFAULT_MIN_DURATION_MINUTES = 20.0
+DEFAULT_MERGE_GAP_MINUTES = 5.0
+
 
 class ConfigError(ValueError):
     """Invalid detection or fitting configuration."""
@@ -111,22 +118,6 @@ class BaselineModel:
             slots.tolist(), self.mean[slots].tolist(), self.std[slots].tolist(),
             self.count[slots].tolist())})
 
-    def to_dict(self) -> dict:
-        return {
-            "network_id": self.network_id,
-            "bin_minutes": self.bin_minutes,
-            "window_weeks": self.window_weeks,
-            "stats": {f"{w},{b}": [m, s, c] for (w, b), (m, s, c) in self.stats.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BaselineModel":
-        stats = {}
-        for key, (m, s, c) in d["stats"].items():
-            w, b = key.split(",")
-            stats[(int(w), int(b))] = (float(m), float(s), int(c))
-        return cls.from_stats(d["network_id"], d["bin_minutes"], d["window_weeks"], stats)
-
 
 @dataclass(frozen=True, eq=False)  # identity equality: compare the arrays with numpy
 class ZSeries:
@@ -166,7 +157,8 @@ def _sample_slots(start: datetime, step_seconds: int, n: int, bin_minutes: int):
 
 
 def fit_baseline(
-    series: TrafficSeries, window_weeks: int = 4, bin_minutes: int = 5
+    series: TrafficSeries, window_weeks: int = DEFAULT_WINDOW_WEEKS,
+    bin_minutes: int = DEFAULT_BIN_MINUTES,
 ) -> BaselineModel:
     """Fit per-(weekday, bin) mean/std over the trailing window_weeks.
 
@@ -208,7 +200,8 @@ def fit_baseline(
 
 
 def zscore_series(
-    model: BaselineModel, series: TrafficSeries, std_floor_fraction: float = 0.05
+    model: BaselineModel, series: TrafficSeries,
+    std_floor_fraction: float = DEFAULT_STD_FLOOR_FRACTION,
 ) -> ZSeries:
     """Score a series against the baseline: z = (x - mean) / floored std.
 
@@ -230,9 +223,9 @@ def zscore_series(
 
 def detect_spikes(
     z: ZSeries,
-    z_threshold: float = 2.0,
-    min_duration_minutes: float = 20.0,
-    merge_gap_minutes: float = 5.0,
+    z_threshold: float = DEFAULT_Z_THRESHOLD,
+    min_duration_minutes: float = DEFAULT_MIN_DURATION_MINUTES,
+    merge_gap_minutes: float = DEFAULT_MERGE_GAP_MINUTES,
 ) -> List[SpikeRecord]:
     """Extract maximal above-threshold runs as disjoint spike records.
 

@@ -35,6 +35,10 @@ from .prompts import CONTEXT_DOC_CHARS, build_field_prompt
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_ENSEMBLE_SIZE = 3
+DEFAULT_MAX_ATTEMPTS = 3
+DEFAULT_MAX_CONTEXT_DOCS = 3
+
 
 @dataclass(frozen=True)
 class ContextBundle:
@@ -96,7 +100,8 @@ class HttpRetriever:
 
 
 def enrich_with_context(
-    event: EventAbstraction, retriever: RetrievalClient, max_docs: int = 3,
+    event: EventAbstraction, retriever: RetrievalClient,
+    max_docs: int = DEFAULT_MAX_CONTEXT_DOCS,
     pool: Executor = InlineExecutor(),
 ) -> ContextBundle:
     """Retrieve reference summaries for an event's entities.
@@ -205,8 +210,8 @@ def infer_field(
     spec: FieldSpec,
     context: ContextBundle,
     llm: LlmBackend,
-    ensemble_size: int = 3,
-    max_attempts: int = 3,
+    ensemble_size: int = DEFAULT_ENSEMBLE_SIZE,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     records: Sequence[ContentRecord] = (),
 ) -> InferenceRun:
     """Infer one metadata field by ensemble consensus.
@@ -228,9 +233,9 @@ def enrich_event(
     llm: LlmBackend,
     retriever: Optional[RetrievalClient],
     records: Sequence[ContentRecord],
-    ensemble_size: int = 3,
-    max_attempts: int = 3,
-    max_docs: int = 3,
+    ensemble_size: int = DEFAULT_ENSEMBLE_SIZE,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    max_docs: int = DEFAULT_MAX_CONTEXT_DOCS,
     pool: Optional[Executor] = None,
 ) -> Tuple[EventAbstraction, List[InferenceRun]]:
     """Fill every unset ensemble-inferred field of one event, in

@@ -1,8 +1,8 @@
 """Discussion-thread collection: connectors, filtering, record assembly.
 
 Connectors are pluggable; the file-corpus connector (JSONL of raw posts)
-is the deterministic default, and a generic HTTP JSON-API connector with
-token-bucket rate limiting covers live sources. Assembly compiles one
+is the deterministic default, and a generic HTTP JSON-API connector,
+retried with exponential backoff, covers live sources. Assembly compiles one
 cleaned ContentRecord per thread from the post body, the top-scoring
 comments, and any fetched linked pages.
 """
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time as time_mod
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from .inference.backends import thread_pool
@@ -32,11 +31,7 @@ RECORD_CHAR_CAP = 60_000
 
 
 class ConnectorError(IOError):
-    """Connector-level I/O failure; retryable unless stated otherwise."""
-
-    def __init__(self, message: str, retryable: bool = True):
-        self.retryable = retryable
-        super().__init__(message)
+    """Connector-level I/O failure."""
 
 
 class EmptyRecordError(ValueError):
@@ -142,53 +137,16 @@ class RawPost:
         }
 
 
-@dataclass
-class SkipReport:
-    """Counts of source items dropped while listing posts."""
-
-    malformed: int = 0
-
-
-class TokenBucket:
-    """Shared rate limiter: ``rate_per_minute`` requests, burstable to
-    capacity. Safe to share between concurrent fetch workers."""
-
-    def __init__(self, rate_per_minute: float, capacity: Optional[float] = None,
-                 clock: Callable[[], float] = time_mod.monotonic,
-                 sleep: Callable[[float], None] = time_mod.sleep):
-        if rate_per_minute <= 0:
-            raise ValueError("rate_per_minute must be positive")
-        self.rate = rate_per_minute / 60.0
-        self.capacity = capacity if capacity is not None else max(1.0, rate_per_minute / 60.0)
-        self._tokens = self.capacity
-        self._clock = clock
-        self._sleep = sleep
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def acquire(self):
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
-
-
 class FileCorpusConnector:
     """Reads raw posts from a JSONL corpus file. Always reachable."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.skip_report = SkipReport()
+        self.malformed = 0  # source items dropped while listing posts
 
     def list_raw(self) -> Iterable[dict]:
         if not self.path.exists():
-            raise ConnectorError(f"corpus file not found: {self.path}", retryable=False)
+            raise ConnectorError(f"corpus file not found: {self.path}")
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -197,7 +155,7 @@ class FileCorpusConnector:
                 try:
                     yield json.loads(line)
                 except json.JSONDecodeError as exc:
-                    self.skip_report.malformed += 1
+                    self.malformed += 1
                     logger.warning("skipping line %d of %s: invalid JSON (%s)",
                                    lineno, self.path, exc)
 
@@ -206,25 +164,22 @@ class HttpJsonConnector:
     """Generic JSON-API connector: GET an endpoint returning a post array.
 
     Responses must be a JSON list of post objects (or {"posts": [...]}).
-    Requests go through a token-bucket rate limiter and retry with
-    exponential backoff before surfacing a retryable ConnectorError.
-    The auth token is read from the environment, never from config.
+    The one listing request is retried with exponential backoff before a
+    ConnectorError surfaces. The auth token is read from the environment,
+    never from config.
     """
 
     def __init__(self, base_url: str, auth_token_env: Optional[str] = None,
-                 requests_per_minute: float = 60, max_retries: int = 3,
-                 backoff_seconds: float = 1.0, timeout: float = 30.0):
+                 max_retries: int = 3, backoff_seconds: float = 1.0, timeout: float = 30.0):
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.endpoint = JsonEndpoint(base_url, timeout=timeout,
                                      headers=bearer_headers(auth_token_env))
-        self.rate_limiter = TokenBucket(requests_per_minute)
-        self.skip_report = SkipReport()
+        self.malformed = 0  # source items dropped while listing posts
 
     def list_raw(self) -> Iterable[dict]:
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_retries):
-            self.rate_limiter.acquire()
             try:
                 payload = self.endpoint.request()
                 break
@@ -245,15 +200,15 @@ class HttpJsonConnector:
 def list_posts(connector, filter: FilterConfig) -> List[RawPost]:
     """Parse and filter the connector's posts.
 
-    Malformed items are skipped and counted in the connector's skip
-    report; every returned post satisfies the filter predicate.
+    Malformed items are skipped and counted in the connector's
+    ``malformed``; every returned post satisfies the filter predicate.
     """
     posts = []
     for item in connector.list_raw():
         try:
             post = RawPost.from_dict(item)
         except (KeyError, ValueError, TypeError, AttributeError, InvariantError) as exc:
-            connector.skip_report.malformed += 1
+            connector.malformed += 1
             logger.warning("skipping malformed post: %s", exc)
             continue
         if filter.matches(post):
@@ -265,7 +220,7 @@ class NullFetcher:
     """Fetches nothing; for corpora without linked pages."""
 
     def fetch(self, url: str) -> str:
-        raise ConnectorError(f"page fetching disabled ({url})", retryable=False)
+        raise ConnectorError(f"page fetching disabled ({url})")
 
 
 class FilePageFetcher:
@@ -277,7 +232,7 @@ class FilePageFetcher:
 
     def fetch(self, url: str) -> str:
         if url not in self.pages:
-            raise ConnectorError(f"no fixture for {url}", retryable=False)
+            raise ConnectorError(f"no fixture for {url}")
         ref = self.pages[url]
         if self.root is not None:
             return (self.root / ref).read_text(encoding="utf-8")

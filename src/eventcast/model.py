@@ -3,12 +3,13 @@
 Every type is an immutable dataclass with explicit invariant checks. All
 timestamps are timezone-aware UTC.
 
-The records stored one per line in JSONL files, and the scenario and
-pipeline config files, take their dict form from one codec,
-``to_json_dict`` / ``from_json_dict``, by one rule:
+The records stored one per line in JSONL files, the scenario and
+pipeline config files, and ``cluster_models.json`` take their dict form
+from one codec, ``to_json_dict`` / ``from_json_dict``, by one rule:
 
 - a datetime is an ISO-8601 string with a ``Z`` suffix;
-- a tuple is a list, and a nested record is its own dict form;
+- a tuple is a list, a numpy array its nested lists (``tolist``), and a
+  nested record is its own dict form;
 - a line record (``record_dict``) also carries ``schema_version: 1``;
 - on reading, a missing key takes the field's default, and a key that
   names no field is rejected (``schema_version`` and a store's
@@ -82,6 +83,8 @@ def _to_json(value: Any) -> Any:
         return [_to_json(v) for v in value]
     if isinstance(value, datetime):
         return utc_to_iso(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if is_dataclass(value):
         return value.to_dict()
     return value

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
-from . import correlate, ingest, remote, semantics
+from . import baseline, correlate, ingest, remote, semantics
 from . import reports as report_tables
 from .baseline import (
     UnpopulatedBinsError,
@@ -47,6 +47,7 @@ from .ingest import (
     FilePageFetcher,
     HttpPageFetcher,
 )
+from .inference import enrich
 from .inference.backends import (
     BackendError,
     HttpLlmBackend,
@@ -68,7 +69,7 @@ from .semantics import (
     find_duplicates,
     merge_events,
 )
-from .store import fresh_stores
+from .store import fresh_stores, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -101,15 +102,15 @@ class PipelineConfig:
     llm: dict = field(default_factory=lambda: {"kind": "stub", "fixtures_path": None})
     embedder: dict = field(default_factory=lambda: {"kind": "hash", "dim": STUB_DIM})
     retriever: dict = field(default_factory=lambda: {"kind": "none"})
-    ensemble_size: int = 3
-    max_attempts: int = 3
-    max_context_docs: int = 3
-    window_weeks: int = 4
-    bin_minutes: int = 5
-    std_floor_fraction: float = 0.05
-    z_threshold: float = 2.0
-    min_duration_minutes: float = 20.0
-    merge_gap_minutes: float = 5.0
+    ensemble_size: int = enrich.DEFAULT_ENSEMBLE_SIZE
+    max_attempts: int = enrich.DEFAULT_MAX_ATTEMPTS
+    max_context_docs: int = enrich.DEFAULT_MAX_CONTEXT_DOCS
+    window_weeks: int = baseline.DEFAULT_WINDOW_WEEKS
+    bin_minutes: int = baseline.DEFAULT_BIN_MINUTES
+    std_floor_fraction: float = baseline.DEFAULT_STD_FLOOR_FRACTION
+    z_threshold: float = baseline.DEFAULT_Z_THRESHOLD
+    min_duration_minutes: float = baseline.DEFAULT_MIN_DURATION_MINUTES
+    merge_gap_minutes: float = baseline.DEFAULT_MERGE_GAP_MINUTES
     dedup_threshold: float = semantics.DEFAULT_SIM_THRESHOLD
     levels: tuple = semantics.DEFAULT_LEVELS
     match_window_hours: float = correlate.DEFAULT_MATCH_WINDOW_HOURS
@@ -147,9 +148,7 @@ class PipelineConfig:
     to_dict = to_json_dict
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), indent=2)
 
 
 def build_llm(config: PipelineConfig):
@@ -254,7 +253,7 @@ def stage_ingest(config: PipelineConfig, connector, records_store):
         records_store.append(record)
     return records, {
         "posts_kept": len(posts),
-        "posts_skipped_malformed": connector.skip_report.malformed,
+        "posts_skipped_malformed": connector.malformed,
         "records": len(records),
         "records_discarded_empty": discarded,
     }
@@ -470,9 +469,7 @@ def stage_correlate(config: PipelineConfig, spikes: List[SpikeRecord],
     """Match spikes to events and write the matches as JSONL; returns the
     keys of the matched spikes, which is all that the report reads of them."""
     matches = match_spikes_to_events(spikes, events, window_hours=config.match_window_hours)
-    with open(matches_path, "w", encoding="utf-8") as fh:
-        for match in matches:
-            fh.write(json.dumps(match.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(matches_path, (match.to_dict() for match in matches))
     matched_keys = {m.spike.key() for m in matches}
     return matched_keys, {"matches": len(matches), "spikes_matched": len(matched_keys)}
 
@@ -591,9 +588,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report["remote"] = _remote_counts({"connector": connector, "llm": llm,
                                        "retriever": retriever, "embedder": embedder})
     report["timings_seconds"] = timings
-    with open(out_dir / "run_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "run_report.json", report, indent=2)
     return report
 
 
@@ -617,7 +612,6 @@ def materialize_scenario(scenario, out_dir) -> Path:
     retriever_fixtures.json, scenario.json, and pipeline.json under
     out_dir; returns the pipeline config path.
     """
-    from .baseline import write_traffic_csv
     from .synth import synth_corpus, synth_traffic
 
     # absolute paths keep the emitted config valid from any working dir
@@ -625,21 +619,13 @@ def materialize_scenario(scenario, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     series, labels = synth_traffic(scenario)
-    write_traffic_csv(out_dir / "traffic.csv", [series[k] for k in sorted(series)])
-    with open(out_dir / "labels.jsonl", "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(json.dumps(label, sort_keys=True) + "\n")
+    baseline.write_traffic_csv(out_dir / "traffic.csv", [series[k] for k in sorted(series)])
+    write_jsonl(out_dir / "labels.jsonl", labels)
 
     posts, llm_fixtures, retriever_fixtures = synth_corpus(scenario)
-    with open(out_dir / "posts.jsonl", "w", encoding="utf-8") as fh:
-        for post in posts:
-            fh.write(json.dumps(post.to_dict(), sort_keys=True) + "\n")
-    with open(out_dir / "llm_fixtures.json", "w", encoding="utf-8") as fh:
-        json.dump(llm_fixtures, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "retriever_fixtures.json", "w", encoding="utf-8") as fh:
-        json.dump(retriever_fixtures, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_jsonl(out_dir / "posts.jsonl", (post.to_dict() for post in posts))
+    write_json(out_dir / "llm_fixtures.json", llm_fixtures, indent=1)
+    write_json(out_dir / "retriever_fixtures.json", retriever_fixtures, indent=1)
     scenario.save(out_dir / "scenario.json")
 
     communities = sorted({e.community for e in scenario.planted_events if not e.spontaneous})

@@ -21,8 +21,9 @@ import numpy as np
 
 from .inference.backends import thread_pool
 from .inference.fields import INFERABLE_SPECS
-from .model import EventAbstraction, SemanticSignature
+from .model import EventAbstraction, SemanticSignature, from_json_dict, to_json_dict
 from .remote import JsonEndpoint, RemoteError
+from .store import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -291,18 +292,8 @@ class ClusterModel:
         centroids.flags.writeable = False
         object.__setattr__(self, "centroids", centroids)
 
-    def to_dict(self) -> dict:
-        return {
-            "level_k": self.level_k,
-            "centroids": self.centroids.tolist(),
-            "seed": self.seed,
-            "inertia": self.inertia,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "ClusterModel":
-        return cls(level_k=d["level_k"], centroids=d["centroids"], seed=d["seed"],
-                   inertia=d["inertia"])
+    to_dict = to_json_dict
+    from_dict = classmethod(from_json_dict)
 
 
 _ASSIGN_BLOCK_BYTES = 32 * 2**20  # bound on one rows x k x D float64 difference block
@@ -392,7 +383,7 @@ class MultilevelClusterModels:
     """Fitted models per granularity level, for assigning future events."""
 
     levels: tuple
-    models: tuple  # ClusterModel per level
+    models: Tuple[ClusterModel, ...]  # one per level
 
     def assign(self, vector) -> SemanticSignature:
         vec = np.asarray(vector, dtype=float)
@@ -400,23 +391,12 @@ class MultilevelClusterModels:
         return SemanticSignature(levels=self.levels, cluster_ids=ids)
 
     def save(self, path) -> None:
-        payload = {
-            "levels": list(self.levels),
-            "models": [m.to_dict() for m in self.models],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            # one dumps call runs the C encoder; json.dump encodes chunk by chunk
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
+        write_json(path, to_json_dict(self))
 
     @classmethod
     def load(cls, path) -> "MultilevelClusterModels":
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            levels=tuple(payload["levels"]),
-            models=tuple(ClusterModel.from_dict(m) for m in payload["models"]),
-        )
+            return from_json_dict(cls, json.load(fh))
 
 
 def cluster_multilevel(

@@ -19,6 +19,10 @@ end of each stage, whether the stage returned or failed, so
 
 A store that was appended to holds an open file: close it, or use it in a
 ``with`` block.
+
+Every other JSON file is written whole by ``write_json`` or
+``write_jsonl``: keys sorted, non-ASCII text escaped, each document or
+line ending in a newline. A store line keeps non-ASCII text as UTF-8.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import os
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from .model import (
     SCHEMA_VERSION,
@@ -45,6 +49,22 @@ class StoreIOError(IOError):
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def write_json(path, obj, indent: Optional[int] = None) -> None:
+    """Write ``obj`` as one JSON document, replacing the file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        # one dumps call runs the C encoder when indent is None; json.dump
+        # encodes chunk by chunk in Python
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent))
+        fh.write("\n")
+
+
+def write_jsonl(path, dicts: Iterable[dict]) -> None:
+    """Write each dict as one JSON line, replacing the file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in dicts:
+            fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def read_jsonl(path) -> Iterator[dict]:

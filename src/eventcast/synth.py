@@ -26,6 +26,7 @@ from .inference.fields import INFERABLE_SPECS
 from .model import TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
 from .pipeline import PipelineConfig
 from .semantics import HashingStubEmbedder, embed_events, find_duplicates, merge_events
+from .store import write_json
 
 # the run settings the synthetic inputs are made for: planted bumps are
 # sized in units of the default std floor, and a run that keeps the other
@@ -128,9 +129,7 @@ class Scenario:
             return cls.from_dict(json.load(fh))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), indent=2)
 
 
 # -- traffic -----------------------------------------------------------------

@@ -167,11 +167,6 @@ class TestFitBaseline:
         with pytest.raises(InsufficientHistoryError):
             fit_baseline(make_series([100.0] * 10), window_weeks=4)
 
-    def test_model_round_trip(self):
-        model = fit_baseline(week_of_samples(weeks=4), window_weeks=4)
-        again = BaselineModel.from_dict(model.to_dict())
-        assert again.stats == model.stats
-
 
 # -- zscore_series ---------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from eventcast.ingest import (
     FilterConfig,
     HttpJsonConnector,
     RawPost,
-    TokenBucket,
     assemble_content_record,
     fetch_linked_pages,
     list_posts,
@@ -30,8 +29,7 @@ class ListConnector:
 
     def __init__(self, items):
         self.items = items
-        from eventcast.ingest import SkipReport
-        self.skip_report = SkipReport()
+        self.malformed = 0
 
     def list_raw(self):
         return iter(self.items)
@@ -102,7 +100,7 @@ class TestFilterConfig:
         ])
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
         assert [p.post_id for p in kept] == ["ok"]
-        assert connector.skip_report.malformed == 2
+        assert connector.malformed == 2
 
 
 class TestFileCorpus:
@@ -113,13 +111,12 @@ class TestFileCorpus:
         connector = FileCorpusConnector(path)
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
         assert [p.post_id for p in kept] == ["one"]
-        assert connector.skip_report.malformed == 1
+        assert connector.malformed == 1
 
-    def test_missing_corpus_not_retryable(self, tmp_path):
+    def test_missing_corpus_raises_connector_error(self, tmp_path):
         connector = FileCorpusConnector(tmp_path / "absent.jsonl")
-        with pytest.raises(ConnectorError) as err:
+        with pytest.raises(ConnectorError):
             list(connector.list_raw())
-        assert not err.value.retryable
 
 
 class TestFetchLinkedPages:
@@ -216,29 +213,6 @@ class TestAssembly:
         assert record.linked_texts == (("u1", "linked body"),)
 
 
-class TestTokenBucket:
-    def test_respects_rate(self):
-        clock = {"now": 0.0}
-        sleeps = []
-
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            clock["now"] += seconds
-
-        bucket = TokenBucket(rate_per_minute=60, capacity=1,
-                             clock=lambda: clock["now"], sleep=fake_sleep)
-        bucket.acquire()  # initial token
-        bucket.acquire()  # must wait ~1s at 60/min
-        assert sleeps and sum(sleeps) == pytest.approx(1.0, abs=0.01)
-
-    def test_burst_capacity(self):
-        clock = {"now": 0.0}
-        bucket = TokenBucket(rate_per_minute=60, capacity=5,
-                             clock=lambda: clock["now"], sleep=lambda s: None)
-        for _ in range(5):
-            bucket.acquire()  # burst drains capacity without sleeping
-
-
 class _PostsHandler(BaseHTTPRequestHandler):
     posts = []
     fail_times = 0
@@ -275,7 +249,7 @@ class TestHttpConnector:
     def test_fetches_and_filters(self, local_api):
         _PostsHandler.posts = [make_post(post_id="h1").to_dict()]
         _PostsHandler.fail_times = 0
-        connector = HttpJsonConnector(local_api, requests_per_minute=6000)
+        connector = HttpJsonConnector(local_api)
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
         connector.endpoint.close()
         assert [p.post_id for p in kept] == ["h1"]
@@ -283,22 +257,19 @@ class TestHttpConnector:
     def test_retries_with_backoff_then_succeeds(self, local_api):
         _PostsHandler.posts = [make_post(post_id="h2").to_dict()]
         _PostsHandler.fail_times = 2
-        connector = HttpJsonConnector(local_api, requests_per_minute=6000,
-                                      max_retries=3, backoff_seconds=0.01)
+        connector = HttpJsonConnector(local_api, max_retries=3, backoff_seconds=0.01)
         kept = list_posts(connector, FilterConfig(communities=("matchday",)))
         connector.endpoint.close()
         assert [p.post_id for p in kept] == ["h2"]
 
-    def test_exhausted_retries_raise_retryable(self, local_api, monkeypatch):
+    def test_exhausted_retries_raise_connector_error(self, local_api, monkeypatch):
         _PostsHandler.fail_times = 99
         sleeps = []
         monkeypatch.setattr("eventcast.ingest.time_mod.sleep", sleeps.append)
-        connector = HttpJsonConnector(local_api, requests_per_minute=6000,
-                                      max_retries=2, backoff_seconds=0.01)
-        with pytest.raises(ConnectorError) as err:
+        connector = HttpJsonConnector(local_api, max_retries=2, backoff_seconds=0.01)
+        with pytest.raises(ConnectorError):
             list(connector.list_raw())
         connector.endpoint.close()
-        assert err.value.retryable
         assert sleeps == [0.01]  # between the two attempts, not after the last
         _PostsHandler.fail_times = 0
 

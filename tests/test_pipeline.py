@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,13 +12,21 @@ import numpy as np
 import pytest
 
 import eventcast.pipeline as pipeline
-from eventcast.baseline import ConfigError, read_traffic_csv, write_traffic_csv
+from eventcast.baseline import (
+    ConfigError,
+    detect_spikes,
+    fit_baseline,
+    read_traffic_csv,
+    write_traffic_csv,
+    zscore_series,
+)
 from eventcast.inference.backends import (
     BackendError,
     BackendTimeout,
     LlmBackendConfig,
     StubFixtureMissing,
 )
+from eventcast.inference.enrich import enrich_event, enrich_with_context, infer_field
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.ingest import FilterConfig
 from eventcast.model import ContentRecord, InvariantError, SpikeRecord, TrafficSeries
@@ -444,6 +453,24 @@ class TestConfigRoundTrip:
         # before any stage runs, not after the whole inference at the report stage
         with pytest.raises(ConfigError, match=reason):
             build()
+
+    def test_layer_keyword_defaults_are_the_config_defaults(self):
+        config = PipelineConfig()
+        for function, fields in (
+            (fit_baseline, {"window_weeks": "window_weeks", "bin_minutes": "bin_minutes"}),
+            (zscore_series, {"std_floor_fraction": "std_floor_fraction"}),
+            (detect_spikes, {"z_threshold": "z_threshold",
+                             "min_duration_minutes": "min_duration_minutes",
+                             "merge_gap_minutes": "merge_gap_minutes"}),
+            (enrich_event, {"ensemble_size": "ensemble_size", "max_attempts": "max_attempts",
+                            "max_docs": "max_context_docs"}),
+            (enrich_with_context, {"max_docs": "max_context_docs"}),
+            (infer_field, {"ensemble_size": "ensemble_size", "max_attempts": "max_attempts"}),
+        ):
+            parameters = inspect.signature(function).parameters
+            for parameter, field_name in fields.items():
+                default, value = parameters[parameter].default, getattr(config, field_name)
+                assert (type(default), default) == (type(value), value), (function, parameter)
 
     def test_relative_fixture_paths_resolve_without_touching_the_callers_dicts(self, tmp_path):
         raw = {"llm": {"kind": "stub", "fixtures_path": "llm.json"},

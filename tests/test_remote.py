@@ -294,7 +294,7 @@ class TestSharedConnections:
         llm = HttpLlmBackend(LlmBackendConfig(endpoint_url=f"{server.url}/llm", model_name="m"))
         embedder = HttpEmbedder(f"{server.url}/embed", "m")
         retriever = HttpRetriever(f"{server.url}/search")
-        connector = HttpJsonConnector(f"{server.url}/posts", requests_per_minute=6000)
+        connector = HttpJsonConnector(f"{server.url}/posts")
         for _ in range(2):
             assert llm.send("prompt") == "text"
             assert embedder.embed("text") == [1.0, 0.0]
@@ -401,11 +401,9 @@ class TestErrors:
         with pytest.raises(RemoteError, match=f"^{message}$"):
             HttpRetriever(f"{server.url}/search").search("query", 3)
         monkeypatch.setattr(ingest.time_mod, "sleep", lambda seconds: None)
-        connector = HttpJsonConnector(f"{server.url}/posts", requests_per_minute=6000,
-                                      max_retries=2)
+        connector = HttpJsonConnector(f"{server.url}/posts", max_retries=2)
         with pytest.raises(ConnectorError) as err:
             list(connector.list_raw())
-        assert err.value.retryable
         assert str(err.value) == f"connector unreachable after 2 attempts: {message}"
         # an error reply leaves the connection reusable, and the four clients share it
         assert server.accepted == 1 and len(server.requests) == 5
@@ -435,8 +433,7 @@ class TestHttpJsonConnector:
         monkeypatch.setattr(ingest.time_mod, "sleep", waits.append)
         monkeypatch.setenv("CORPUS_TOKEN", "secret")
         connector = HttpJsonConnector(f"{server.url}/posts", auth_token_env="CORPUS_TOKEN",
-                                      requests_per_minute=6000, max_retries=3,
-                                      backoff_seconds=0.5)
+                                      max_retries=3, backoff_seconds=0.5)
         assert list(connector.list_raw()) == [{"post_id": "h1"}]
         assert waits == [0.5, 1.0]
         assert [headers["Authorization"] for *_, headers in server.requests] == [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from eventcast import semantics
+from eventcast.model import InvariantError
 from eventcast.semantics import (
     ClusterModel,
     EmbeddingError,
@@ -518,19 +519,38 @@ class TestMultilevel:
         with pytest.raises(ValueError):
             cluster_multilevel(EventEmbeddings.stack({}), levels=[2], seed=0)
 
-    def test_saved_bytes_are_json_dumps(self, tmp_path):
+    def test_saved_bytes_are_the_hand_built_payload(self, tmp_path):
         rng = np.random.default_rng(6)
+        # the top level asks for 64 clusters of 40 events: its k is clamped to 40
         _, fitted = cluster_multilevel(self.make_embeddings(rng.normal(size=(40, 8))),
-                                       levels=[4, 16], seed=5)
+                                       levels=[4, 64], seed=5)
+        assert [m.level_k for m in fitted.models] == [4, 40]
         awkward = ClusterModel(level_k=2, centroids=((-0.0, 5e-324), (1e16, 0.1 + 0.2)),
                                seed=7, inertia=1 / 3)
         for models in (fitted, MultilevelClusterModels(levels=(2,), models=(awkward,))):
             path = tmp_path / "models.json"
             models.save(path)
+            # the reference: the payload as it was written field by field
+            payload = {
+                "levels": list(models.levels),
+                "models": [{"level_k": m.level_k, "centroids": m.centroids.tolist(),
+                            "seed": m.seed, "inertia": m.inertia} for m in models.models],
+            }
             dumped = io.StringIO()
-            json.dump({"levels": list(models.levels),
-                       "models": [m.to_dict() for m in models.models]}, dumped, sort_keys=True)
+            json.dump(payload, dumped, sort_keys=True)
             assert path.read_bytes() == (dumped.getvalue() + "\n").encode("utf-8")
+            again = tmp_path / "again.json"
+            MultilevelClusterModels.load(path).save(again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_load_rejects_a_model_with_a_missing_or_unknown_key(self, tmp_path):
+        model = {"level_k": 1, "centroids": [[0.0, 1.0]], "seed": 0, "inertia": 0.0}
+        path = tmp_path / "models.json"
+        for bad, message in (({k: v for k, v in model.items() if k != "seed"}, "missing key"),
+                             ({**model, "extra": 1}, "unknown key")):
+            path.write_text(json.dumps({"levels": [1], "models": [bad]}))
+            with pytest.raises(InvariantError, match=message):
+                MultilevelClusterModels.load(path)
 
 
 def test_cluster_model_round_trip():

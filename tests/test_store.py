@@ -25,7 +25,7 @@ from eventcast.inference.backends import prompt_key
 from eventcast.inference.prompts import build_extract_prompt
 from eventcast.model import ContentRecord, EventAbstraction, InvariantError, SpikeRecord
 from eventcast.pipeline import PipelineConfig, materialize_scenario, run_pipeline
-from eventcast.store import EventStore, JsonlStore, fresh_stores
+from eventcast.store import EventStore, JsonlStore, fresh_stores, write_json, write_jsonl
 from eventcast.synth import default_scenario
 
 from .conftest import MONDAY, make_event, make_record, run_on_threads
@@ -99,6 +99,19 @@ def test_round_trip_through_file(tmp_path):
     with JsonlStore(tmp_path / "records.jsonl", ContentRecord, id_field="record_id") as store:
         store.append(record)
     assert store.load()[0] == record
+
+
+def test_whole_files_escape_non_ascii_text_and_a_store_line_keeps_it_utf8(tmp_path):
+    write_jsonl(tmp_path / "labels.jsonl", [{"name": "café", "id": 1}])
+    assert (tmp_path / "labels.jsonl").read_bytes() == b'{"id": 1, "name": "caf\\u00e9"}\n'
+    write_json(tmp_path / "doc.json", {"name": "café", "id": 1}, indent=1)
+    assert (tmp_path / "doc.json").read_bytes() == b'{\n "id": 1,\n "name": "caf\\u00e9"\n}\n'
+    PipelineConfig(out_dir="café").save(tmp_path / "pipeline.json")
+    assert b'"out_dir": "caf\\u00e9"' in (tmp_path / "pipeline.json").read_bytes()
+    with JsonlStore(tmp_path / "records.jsonl", ContentRecord, id_field="record_id") as store:
+        store.append(make_record(title="café"))
+    line = (tmp_path / "records.jsonl").read_bytes()
+    assert '"title": "café"'.encode("utf-8") in line and b"\\u00e9" not in line
 
 
 def test_merge_appends_tombstone_plus_replacement(tmp_path):

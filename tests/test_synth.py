@@ -167,8 +167,7 @@ class TestSynthCorpus:
         class Injected:
             def __init__(self, posts):
                 self.posts = posts
-                from eventcast.ingest import SkipReport
-                self.skip_report = SkipReport()
+                self.malformed = 0
 
             def list_raw(self):
                 return (p.to_dict() for p in self.posts)

@@ -9,7 +9,6 @@ references only; every comparison is exact.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 from array import array
@@ -251,17 +250,6 @@ def test_fit_matches_per_sample_oracle(name):
     assert model.stats == stats
     assert_same_arrays(model, *oracle_arrays(stats, bin_minutes))
     assert (name in GAPPY_CASES) == (len(stats) < 7 * 1440 // bin_minutes)
-
-
-@pytest.mark.parametrize("name", sorted(ALL_FIT_CASES))
-def test_dict_round_trip_gives_identical_arrays(name):
-    series, window_weeks, bin_minutes = ALL_FIT_CASES[name]
-    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
-    again = BaselineModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert (again.network_id, again.bin_minutes, again.window_weeks) == (
-        model.network_id, model.bin_minutes, model.window_weeks)
-    assert_same_arrays(again, model.mean, model.std, model.count)
-    assert again.stats == model.stats
 
 
 def test_hand_built_model_names_the_first_bad_slot():
