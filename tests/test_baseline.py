@@ -167,6 +167,12 @@ class TestFitBaseline:
         with pytest.raises(InsufficientHistoryError):
             fit_baseline(make_series([100.0] * 10), window_weeks=4)
 
+    def test_model_round_trips_through_its_stats(self):
+        model = fit_baseline(week_of_samples(weeks=4), window_weeks=4)
+        again = BaselineModel.from_stats(model.network_id, model.bin_minutes,
+                                         model.window_weeks, model.stats)
+        assert again.stats == model.stats
+
 
 # -- zscore_series ---------------------------------------------------------------
 

@@ -252,6 +252,18 @@ def test_fit_matches_per_sample_oracle(name):
     assert (name in GAPPY_CASES) == (len(stats) < 7 * 1440 // bin_minutes)
 
 
+@pytest.mark.parametrize("name", sorted(ALL_FIT_CASES))
+def test_stats_round_trip_gives_identical_arrays(name):
+    series, window_weeks, bin_minutes = ALL_FIT_CASES[name]
+    model = fit_baseline(series, window_weeks=window_weeks, bin_minutes=bin_minutes)
+    again = BaselineModel.from_stats(model.network_id, model.bin_minutes, model.window_weeks,
+                                     model.stats)
+    assert (again.network_id, again.bin_minutes, again.window_weeks) == (
+        model.network_id, model.bin_minutes, model.window_weeks)
+    assert_same_arrays(again, model.mean, model.std, model.count)
+    assert again.stats == model.stats
+
+
 def test_hand_built_model_names_the_first_bad_slot():
     good = (100.0, 10.0, 4)
     for bad, message in [((100.0, 10.0, 0), "count must be >= 1 and std >= 0"),
