@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -35,6 +36,7 @@ from .store import EventStore, JsonlStore
 from .synth import BUILTIN_SCENARIOS, Scenario
 
 DEFAULTS = PipelineConfig()  # every stage flag's default
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def cmd_synth(args) -> int:
@@ -56,51 +58,31 @@ def cmd_run(args) -> int:
 
 def stage_config(args) -> PipelineConfig:
     """The config a stage subcommand's flags describe; a flag left out keeps
-    ``PipelineConfig``'s default."""
-    if args.command == "detect-spikes":
-        return PipelineConfig(
-            traffic_csv=args.traffic,
-            z_threshold=args.z,
-            min_duration_minutes=args.min_duration,
-            merge_gap_minutes=args.merge_gap,
-            window_weeks=args.window_weeks,
-            bin_minutes=args.bin_minutes,
-            std_floor_fraction=args.std_floor,
-        )
+    ``PipelineConfig``'s default.
+
+    A flag whose dest names a config field sets that field; the filter, the
+    backends and the embedder are built from their own flags here."""
+    config = {name: value for name, value in vars(args).items() if name in CONFIG_FIELDS}
     if args.command == "ingest":
-        return PipelineConfig(
-            corpus_path=args.corpus,
-            filter=FilterConfig(
-                search_terms=tuple(args.search_term),
-                communities=tuple(args.community),
-                min_engagement=args.min_engagement,
-                require_outbound_link=args.require_outbound_link,
-            ),
-            top_k_comments=args.top_k_comments,
+        config["filter"] = FilterConfig(
+            search_terms=tuple(args.search_term),
+            communities=tuple(args.community),
+            min_engagement=args.min_engagement,
+            require_outbound_link=args.require_outbound_link,
         )
-    if args.command == "infer-events":
+    elif args.command == "infer-events":
         if args.backend == "stub":
             if not args.fixtures:
                 raise SystemExit("--fixtures is required with the stub backend")
-            llm = {"kind": "stub", "fixtures_path": args.fixtures}
+            config["llm"] = {"kind": "stub", "fixtures_path": args.fixtures}
         else:
-            llm = {"kind": "http", "endpoint_url": args.endpoint_url, "model_name": args.model,
-                   "auth_token_env": args.auth_token_env}
-        retriever = ({"kind": "fixture", "fixtures_path": args.retriever_fixtures}
-                     if args.retriever_fixtures else {"kind": "none"})
-        return PipelineConfig(default_timezone=args.default_timezone, llm=llm,
-                              retriever=retriever)
-    if args.command == "dedup":
-        return PipelineConfig(dedup_threshold=args.threshold,
-                              embedder={"kind": "hash", "dim": args.dim})
-    if args.command == "cluster":
-        return PipelineConfig(levels=args.levels, seed=args.seed,
-                              embedder={"kind": "hash", "dim": args.dim})
-    if args.command == "correlate":
-        return PipelineConfig(match_window_hours=args.window_hours)
-    if args.command == "report":
-        return PipelineConfig(report_bins=args.bins, min_category_count=args.min_category_count)
-    raise ValueError(f"{args.command} is not a stage subcommand")
+            config["llm"] = {"kind": "http", "endpoint_url": args.endpoint_url,
+                             "model_name": args.model, "auth_token_env": args.auth_token_env}
+        config["retriever"] = ({"kind": "fixture", "fixtures_path": args.retriever_fixtures}
+                               if args.retriever_fixtures else {"kind": "none"})
+    elif args.command in ("dedup", "cluster"):
+        config["embedder"] = {"kind": "hash", "dim": args.dim}
+    return PipelineConfig(**config)
 
 
 def cmd_detect_spikes(args) -> int:
@@ -230,18 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("detect-spikes", help="baseline + spike extraction from traffic CSV")
-    p.add_argument("--traffic", required=True)
-    p.add_argument("--z", type=float, default=DEFAULTS.z_threshold)
-    p.add_argument("--min-duration", type=float, default=DEFAULTS.min_duration_minutes)
-    p.add_argument("--merge-gap", type=float, default=DEFAULTS.merge_gap_minutes)
+    p.add_argument("--traffic", dest="traffic_csv", required=True)
+    p.add_argument("--z", dest="z_threshold", type=float, default=DEFAULTS.z_threshold)
+    p.add_argument("--min-duration", dest="min_duration_minutes", type=float,
+                   default=DEFAULTS.min_duration_minutes)
+    p.add_argument("--merge-gap", dest="merge_gap_minutes", type=float,
+                   default=DEFAULTS.merge_gap_minutes)
     p.add_argument("--window-weeks", type=int, default=DEFAULTS.window_weeks)
     p.add_argument("--bin-minutes", type=int, default=DEFAULTS.bin_minutes)
-    p.add_argument("--std-floor", type=float, default=DEFAULTS.std_floor_fraction)
+    p.add_argument("--std-floor", dest="std_floor_fraction", type=float,
+                   default=DEFAULTS.std_floor_fraction)
     p.add_argument("--out", default="spikes.jsonl")
     p.set_defaults(fn=cmd_detect_spikes)
 
     p = sub.add_parser("ingest", help="filter posts and assemble content records")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", dest="corpus_path", required=True)
     p.add_argument("--search-term", action="append", default=[])
     p.add_argument("--community", action="append", default=[])
     p.add_argument("--min-engagement", type=int, default=DEFAULTS.filter.min_engagement)
@@ -264,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedup", help="merge same-date near-duplicate events")
     p.add_argument("--events", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULTS.dedup_threshold)
+    p.add_argument("--threshold", dest="dedup_threshold", type=float,
+                   default=DEFAULTS.dedup_threshold)
     p.add_argument("--dim", type=int, default=DEFAULTS.embedder["dim"])
     p.set_defaults(fn=cmd_dedup)
 
@@ -279,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="match spikes to events")
     p.add_argument("--events", required=True)
     p.add_argument("--spikes", required=True)
-    p.add_argument("--window-hours", type=float, default=DEFAULTS.match_window_hours)
+    p.add_argument("--window-hours", dest="match_window_hours", type=float,
+                   default=DEFAULTS.match_window_hours)
     p.add_argument("--out", default="matches.jsonl")
     p.set_defaults(fn=cmd_correlate)
 
@@ -287,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["coverage", "lead-time", "spike-frequency"])
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--spikes", help="spikes.jsonl (spike-frequency, coverage)")
-    p.add_argument("--bins", type=_numbers(float), default=DEFAULTS.report_bins)
+    p.add_argument("--bins", dest="report_bins", type=_numbers(float),
+                   default=DEFAULTS.report_bins)
     p.add_argument("--events", help="events.jsonl (lead-time)")
     p.add_argument("--min-category-count", type=int, default=DEFAULTS.min_category_count)
     p.add_argument("--labels", help="ground-truth labels.jsonl (coverage)")

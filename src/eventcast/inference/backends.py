@@ -21,7 +21,6 @@ request in flight between them, and open at most
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -30,6 +29,7 @@ from typing import Dict, Iterator, Optional, Protocol
 
 from ..model import InvariantError
 from ..remote import JsonEndpoint, RemoteError, RemoteTimeout, bearer_headers
+from ..store import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -198,13 +198,7 @@ class StubLlmBackend:
 
     @classmethod
     def from_file(cls, path) -> "StubLlmBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        # fixtures may be {key: completion} or {key: {"completion": ...}}
-        fixtures = {
-            k: (v["completion"] if isinstance(v, dict) else v) for k, v in raw.items()
-        }
-        return cls(fixtures)
+        return cls(read_json(path))
 
     def send(self, prompt: str, salt: str = "") -> str:
         key = prompt_key(prompt, salt)

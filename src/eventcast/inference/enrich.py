@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import Executor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..model import FAILED, ContentRecord, EventAbstraction, InferenceRun
 from ..remote import JsonEndpoint
+from ..store import read_json
 from ..textclean import clean_text
 from .backends import (
     BackendError,
@@ -20,7 +19,6 @@ from .backends import (
     LlmBackend,
     StubFixtureMissing,
     send_retrying_timeouts,
-    thread_pool,
 )
 from .fields import (
     INFERABLE_SPECS,
@@ -60,26 +58,19 @@ class RetrievalClient(Protocol):
 
 
 class FixtureRetriever:
-    """Serves ranked (title, text, url) docs from a query-keyed map."""
+    """Serves ranked docs from a map of query -> list of {"title", "text",
+    "url"} objects, best match first."""
 
     def __init__(self, fixtures: Dict[str, List]):
         self.fixtures = {normalize_string(k): list(v) for k, v in fixtures.items()}
 
     @classmethod
     def from_file(cls, path) -> "FixtureRetriever":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(read_json(path))
 
     def search(self, query: str, max_results: int) -> List[Tuple[str, str, str]]:
         docs = self.fixtures.get(normalize_string(query), [])
-        out = []
-        for doc in docs[:max_results]:
-            if isinstance(doc, dict):
-                out.append((doc["title"], doc["text"], doc.get("url", "")))
-            else:
-                title, text, url = doc
-                out.append((title, text, url))
-        return out
+        return [(d["title"], d["text"], d.get("url", "")) for d in docs[:max_results]]
 
 
 class HttpRetriever:
@@ -217,15 +208,14 @@ def infer_field(
     """Infer one metadata field by ensemble consensus.
 
     Each attempt requests ensemble_size independent completions (same
-    prompt, distinct run salts) concurrently on a
-    ``thread_pool("request", llm)``, parses them per the field's data type
-    (failures abstain), and aggregates. A failed consensus triggers a
-    fresh attempt, up to max_attempts; the returned run keeps every parsed
-    output plus the final consensus value or FAILED.
+    prompt, distinct run salts), one after another on this thread, parses
+    them per the field's data type (failures abstain), and aggregates. A
+    failed consensus triggers a fresh attempt, up to max_attempts; the
+    returned run keeps every parsed output plus the final consensus value
+    or FAILED.
     """
-    with thread_pool("request", llm) as pool:
-        return _infer_fields(event, [spec], context, llm, pool, ensemble_size, max_attempts,
-                             records)[0]
+    return _infer_fields(event, [spec], context, llm, InlineExecutor(), ensemble_size,
+                         max_attempts, records)[0]
 
 
 def enrich_event(
@@ -236,7 +226,7 @@ def enrich_event(
     ensemble_size: int = DEFAULT_ENSEMBLE_SIZE,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     max_docs: int = DEFAULT_MAX_CONTEXT_DOCS,
-    pool: Optional[Executor] = None,
+    pool: Executor = InlineExecutor(),
 ) -> Tuple[EventAbstraction, List[InferenceRun]]:
     """Fill every unset ensemble-inferred field of one event, in
     ``INFERABLE_SPECS`` order, so that entities exist before the RAG-backed
@@ -246,25 +236,22 @@ def enrich_event(
     (``prompts.event_summary``), and retrieval only its entities and
     description, so each run of consecutive RAG-backed fields shares one
     retrieval, whose queries are sent together from this thread, and is
-    inferred together. Every request runs on ``pool`` (a
-    fresh ``thread_pool("request", llm, retriever)`` when None); runs come
-    back in field order.
+    inferred together. Every request runs on ``pool``, by default inline on
+    this thread; runs come back in field order.
     """
     specs = [spec for spec in INFERABLE_SPECS if getattr(event, spec.field_name) is None]
     runs: List[InferenceRun] = []
-    with nullcontext(pool) if pool is not None else \
-            thread_pool("request", llm, retriever) as pool:
-        for uses_rag, group in groupby(specs, key=lambda spec: spec.uses_rag):
-            group = list(group)
-            context, batches = EMPTY_BUNDLE, [[spec] for spec in group]
-            if uses_rag:
-                batches = [group]
-                if retriever is not None:
-                    context = enrich_with_context(event, retriever, max_docs, pool)
-            for batch in batches:
-                batch_runs = _infer_fields(event, batch, context, llm, pool, ensemble_size,
-                                           max_attempts, records)
-                for spec, run in zip(batch, batch_runs):
-                    event = apply_consensus(event, spec, run.consensus_value)
-                runs.extend(batch_runs)
+    for uses_rag, group in groupby(specs, key=lambda spec: spec.uses_rag):
+        group = list(group)
+        context, batches = EMPTY_BUNDLE, [[spec] for spec in group]
+        if uses_rag:
+            batches = [group]
+            if retriever is not None:
+                context = enrich_with_context(event, retriever, max_docs, pool)
+        for batch in batches:
+            batch_runs = _infer_fields(event, batch, context, llm, pool, ensemble_size,
+                                       max_attempts, records)
+            for spec, run in zip(batch, batch_runs):
+                event = apply_consensus(event, spec, run.consensus_value)
+            runs.extend(batch_runs)
     return event, runs

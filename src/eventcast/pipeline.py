@@ -9,7 +9,6 @@ artifacts in place for inspection.
 
 from __future__ import annotations
 
-import json
 import logging
 import time as time_mod
 from contextlib import contextmanager
@@ -69,7 +68,7 @@ from .semantics import (
     find_duplicates,
     merge_events,
 )
-from .store import fresh_stores, write_json, write_jsonl
+from .store import fresh_stores, read_json, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +124,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw, base_dir=Path(path).parent)
+        return cls.from_dict(read_json(path), base_dir=Path(path).parent)
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":

@@ -11,7 +11,6 @@ situates it among related events.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from .inference.backends import thread_pool
 from .inference.fields import INFERABLE_SPECS
 from .model import EventAbstraction, SemanticSignature, from_json_dict, to_json_dict
 from .remote import JsonEndpoint, RemoteError
-from .store import write_json
+from .store import read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -395,8 +394,7 @@ class MultilevelClusterModels:
 
     @classmethod
     def load(cls, path) -> "MultilevelClusterModels":
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_json_dict(cls, json.load(fh))
+        return from_json_dict(cls, read_json(path))
 
 
 def cluster_multilevel(

@@ -23,6 +23,7 @@ A store that was appended to holds an open file: close it, or use it in a
 Every other JSON file is written whole by ``write_json`` or
 ``write_jsonl``: keys sorted, non-ASCII text escaped, each document or
 line ending in a newline. A store line keeps non-ASCII text as UTF-8.
+``read_json`` reads a whole-file document back.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .model import (
 
 
 class StoreIOError(IOError):
-    """Retryable I/O failure while appending to a store."""
+    """Raised when an append to a store, or its fsync, fails."""
 
 
 def _dump(obj: dict) -> str:
@@ -65,6 +66,12 @@ def write_jsonl(path, dicts: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in dicts:
             fh.write(json.dumps(d, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The one JSON document a file holds, parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def read_jsonl(path) -> Iterator[dict]:

@@ -26,7 +26,7 @@ from .inference.fields import INFERABLE_SPECS
 from .model import TrafficSeries, from_json_dict, to_json_dict, utc_to_iso
 from .pipeline import PipelineConfig
 from .semantics import HashingStubEmbedder, embed_events, find_duplicates, merge_events
-from .store import write_json
+from .store import read_json, write_json
 
 # the run settings the synthetic inputs are made for: planted bumps are
 # sized in units of the default std floor, and a run that keeps the other
@@ -125,8 +125,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
         write_json(path, self.to_dict(), indent=2)

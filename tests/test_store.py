@@ -161,7 +161,7 @@ def test_open_stores_layout(tmp_path):
         assert stores["records"].load() == []
 
 
-def test_io_failure_raises_retryable_error(tmp_path):
+def test_io_failure_raises_store_io_error(tmp_path):
     from eventcast.store import StoreIOError
 
     target = tmp_path / "events.jsonl"
